@@ -525,6 +525,18 @@ Simulation::runMixed(
                 std::make_unique<exec::ThreadPool>(noise_jobs);
     }
 
+    // Per-domain decision state, sized once per run. The thetas are
+    // fixed for the run (the predictor is fitted before it starts).
+    domainEpoch.resize(static_cast<std::size_t>(n_domains));
+    for (int d = 0; d < n_domains; ++d) {
+        const auto &vrs = domains[static_cast<std::size_t>(d)].vrs;
+        auto &thetas = domainEpoch[static_cast<std::size_t>(d)].thetas;
+        thetas.clear();
+        if (predictor)
+            for (int v : vrs)
+                thetas.push_back(predictor->theta(v));
+    }
+
     core::Governor governor(policy, n_domains);
     core::AgingModel aging(n_vrs);
     sensors::ThermalSensorBank sensor_bank(
@@ -664,6 +676,15 @@ Simulation::runMixed(
         static_cast<std::size_t>(cfg.noiseCyclesTotal);
     const int width = noiseBatchWidth();
 
+    // Policy handles of one domain: its PDN, network and thetas.
+    auto kit_of = [&](int d) {
+        core::PolicyToolkit kit;
+        kit.pdn = pdns[static_cast<std::size_t>(d)].get();
+        kit.network = &networks[static_cast<std::size_t>(d)];
+        kit.thetas = &domainEpoch[static_cast<std::size_t>(d)].thetas;
+        return kit;
+    };
+
     auto flush_domain = [&](int d) {
         auto &sc = noiseScratch[static_cast<std::size_t>(d)];
         const int k = static_cast<int>(noiseQueue.size());
@@ -782,14 +803,16 @@ Simulation::runMixed(
 
         // ---- Decisions ---------------------------------------------------
         if (!off_chip) {
+            const std::vector<int> &epoch_samples =
+                samples_of_epoch[static_cast<std::size_t>(e)];
+            const bool truth_epoch = core::hasEmergencyOverride(policy) &&
+                                     !epoch_samples.empty();
             // Emergency-truth epochs re-key the factorisation and
             // reuse the queue buffers, so coalesced windows from
             // earlier epochs must fully drain first (the flush rule's
-            // "decision boundary" case). Epochs the truth loop skips
+            // "decision boundary" case). Epochs without truth windows
             // keep their queues pending.
-            if (coalesce && core::hasEmergencyOverride(policy) &&
-                !samples_of_epoch[static_cast<std::size_t>(e)]
-                     .empty())
+            if (coalesce && truth_epoch)
                 drain_all();
 
             // Epoch provisioning power: the trace's blended mean/peak
@@ -838,11 +861,27 @@ Simulation::runMixed(
             }
             const std::vector<Celsius> &vr_sensor = fs.vrSensor;
 
+            // One decision epoch runs in three phases. (1) Decide,
+            // serially in domain order: forecast, sensor and fault
+            // masks, and the policy's selection. (2) Truth, in a truth
+            // epoch: every domain keys its PDN to its selection and
+            // solves the epoch's truth windows; domains touch only
+            // their own PDN, scratch and flag, so the windows fan out
+            // across the noise pool. (3) Apply, serially in domain
+            // order: the alert, the override re-decision and the
+            // PDN/activity update. The split is bit-invisible:
+            // predictor draws are keyed by (domain, decision), alert
+            // faults by (decision, event), truth windows by (run_seed,
+            // epoch, sample, domain), policies are stateless and the
+            // governor's counters are order-free sums.
+
+            // ---- Phase 1: decide ----------------------------------------
             for (int d = 0; d < n_domains; ++d) {
                 const auto &dom =
                     domains[static_cast<std::size_t>(d)];
                 auto &net = networks[static_cast<std::size_t>(d)];
                 auto &pdn = *pdns[static_cast<std::size_t>(d)];
+                auto &de = domainEpoch[static_cast<std::size_t>(d)];
 
                 Amperes demand_now =
                     pm.domainCurrent(last_block_power, d);
@@ -853,7 +892,7 @@ Simulation::runMixed(
                 forecaster.observe(demand_now);
                 Amperes wma_next = forecaster.predict();
 
-                core::DomainState &st = fs.st;
+                core::DomainState &st = de.st;
                 st.domain = d;
                 st.decision = e;
                 st.demandNow = demand_now;
@@ -877,7 +916,7 @@ Simulation::runMixed(
                                                     : vr_sensor[v];
                     st.vrLossNow[l] = vr_loss[v];
                 }
-                // Regulator-fault masks (fs.st is reused, so the
+                // Regulator-fault masks (de.st is reused, so the
                 // clean path must leave them empty).
                 if (injector && injector->anyVrFault()) {
                     st.vrUnavailable.resize(dom.vrs.size());
@@ -903,50 +942,58 @@ Simulation::runMixed(
                     oracular_inputs ? mean_power : last_block_power,
                     st.nodeCurrents);
 
-                core::PolicyToolkit kit;
-                kit.pdn = &pdn;
-                kit.network = &net;
-                if (predictor) {
-                    fs.thetas.resize(dom.vrs.size());
-                    for (std::size_t l = 0; l < dom.vrs.size(); ++l)
-                        fs.thetas[l] = predictor->theta(dom.vrs[l]);
-                } else {
-                    fs.thetas.clear();
-                }
-                kit.thetas = &fs.thetas;
+                de.decision =
+                    governor.decide(st, kit_of(d), false);
+            }
 
-                core::Decision decision =
-                    governor.decide(st, kit, false);
-                if (core::hasEmergencyOverride(policy) &&
-                    !decision.overridden &&
-                    !samples_of_epoch[static_cast<std::size_t>(e)]
-                         .empty()) {
-                    // Determine the ground truth: would this
-                    // selection suffer an emergency this epoch?
-                    // (The decision-boundary drain above already
-                    // emptied the queue; the flush is a no-op kept
-                    // for the invariant that no setActive() ever
-                    // strands an unsolved window.)
-                    if (decision.active != pdn.active()) {
-                        flush_domain(d);
-                        pdn.setActive(decision.active);
-                    }
-                    bool truth = epochEmergencyTruth(
-                        d, e,
-                        samples_of_epoch[static_cast<std::size_t>(e)],
-                        mean_power, st.didt, run_seed,
-                        noiseScratch[static_cast<std::size_t>(d)],
-                        mean_stamp);
+            // ---- Phase 2: emergency truth -------------------------------
+            // The queue is empty here — the decision-boundary drain
+            // (coalescing) or the previous epoch's drain solved every
+            // pending window — so re-keying a PDN strands nothing, and
+            // the truth windows reuse the queue buffers from offset 0.
+            if (truth_epoch) {
+                TG_ASSERT(noiseQueue.empty(),
+                          "truth windows would overwrite queued "
+                          "noise windows");
+                auto truth_domain = [&](std::size_t d) {
+                    auto &de = domainEpoch[d];
+                    auto &pdn = *pdns[d];
+                    if (de.decision.active != pdn.active())
+                        pdn.setActive(de.decision.active);
+                    de.truth = epochEmergencyTruth(
+                        static_cast<int>(d), e, epoch_samples,
+                        mean_power, de.st.didt, run_seed,
+                        noiseScratch[d], mean_stamp);
+                };
+                if (noisePool) {
+                    exec::parallelForOn(
+                        *noisePool, static_cast<std::size_t>(n_domains),
+                        [&](int, std::size_t d) { truth_domain(d); });
+                } else {
+                    for (int d = 0; d < n_domains; ++d)
+                        truth_domain(static_cast<std::size_t>(d));
+                }
+            }
+
+            // ---- Phase 3: apply -----------------------------------------
+            for (int d = 0; d < n_domains; ++d) {
+                const auto &dom =
+                    domains[static_cast<std::size_t>(d)];
+                auto &pdn = *pdns[static_cast<std::size_t>(d)];
+                auto &de = domainEpoch[static_cast<std::size_t>(d)];
+                core::Decision &decision = de.decision;
+                if (truth_epoch) {
                     bool alert =
                         policy == PolicyKind::OracVT
-                            ? truth
-                            : em_predictor.predict(d, e, truth);
+                            ? de.truth
+                            : em_predictor.predict(d, e, de.truth);
                     if (injector)
                         alert = injector->perturbAlert(
                             d, e, alert, &alerts_suppressed,
                             &alerts_injected);
                     if (alert)
-                        decision = governor.decide(st, kit, true);
+                        decision = governor.decide(de.st, kit_of(d),
+                                                   true);
                 }
 
                 active_sets[static_cast<std::size_t>(d)] =

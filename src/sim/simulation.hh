@@ -196,11 +196,24 @@ class Simulation
         std::vector<Celsius> vrT;       //!< true per-VR temperatures
         std::vector<Celsius> vrSensor;  //!< sensed per-VR temperatures
         std::vector<Watts> nodalPower;  //!< thermal-grid power vector
-        std::vector<double> thetas;     //!< per-local-VR theta slice
-        core::DomainState st;           //!< reused decision inputs
+    };
+
+    /**
+     * One domain's slice of a decision epoch, carried from the serial
+     * decide phase through the (possibly pooled) truth phase into the
+     * serial apply phase. The vector of these is sized once per run;
+     * each epoch refills every element in place.
+     */
+    struct DomainEpoch
+    {
+        core::DomainState st;       //!< decision inputs
+        std::vector<double> thetas; //!< per-local-VR theta slice
+        core::Decision decision;    //!< phase-1 (then final) decision
+        bool truth = false;         //!< truth-window verdict
     };
 
     FrameScratch fs;
+    std::vector<DomainEpoch> domainEpoch;     //!< one per domain
     std::vector<NoiseScratch> noiseScratch;   //!< one per domain
     std::vector<QueuedNoiseSample> noiseQueue; //!< epoch batch queue
     std::uint64_t powerStamp = 0;  //!< bumped per power recompute

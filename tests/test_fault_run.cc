@@ -187,6 +187,53 @@ TEST(FaultDeterminism, RepeatedFaultedRunsOnOneInstanceBitIdentical)
     expectSameRun(a, b);
 }
 
+TEST(FaultDeterminism, OverridePathFaultsBitIdenticalAcrossJobs)
+{
+    // Alert and regulator faults on the POWER8 domains that override
+    // under PracVT on barnes: domain 6 (a true emergency, its alert
+    // suppressed), domain 7 (a true emergency with a stuck-off VR, so
+    // the override re-decides degraded) and domain 10 (a predictor
+    // false alarm, suppressed half the time), plus spurious alerts
+    // on domain 3. Alert perturbation and the degraded override run
+    // after the epoch's truth windows, which fan out across domains
+    // at jobs 4; the pooled run must match the serial one.
+    auto chip = floorplan::buildPower8Chip();
+    fault::FaultScenario scenario(0x0ad7e5ull);
+    auto ev = [&](fault::FaultKind kind, int target, double magnitude) {
+        fault::FaultEvent e;
+        e.kind = kind;
+        e.target = target;
+        e.start = 0.0;
+        e.duration = fault::kForever;
+        e.magnitude = magnitude;
+        scenario.add(e);
+    };
+    ev(fault::FaultKind::AlertMissed, 6, 0.0);
+    ev(fault::FaultKind::AlertMissed, 10, 0.5);
+    ev(fault::FaultKind::AlertSpurious, 3, 0.3);
+    ev(fault::FaultKind::VrStuckOff, chip.plan.domains()[7].vrs[0],
+       0.0);
+    RecordOptions opts;
+    opts.faultScenario = &scenario;
+
+    const auto &profile = workload::profileByName("barnes");
+    RunResult runs[2];
+    for (int i = 0; i < 2; ++i) {
+        SimConfig cfg;
+        cfg.noiseSamples = 32;
+        cfg.jobs = i == 0 ? 1 : 4;
+        Simulation s(chip, cfg);
+        runs[i] = s.run(profile, core::PolicyKind::PracVT, opts);
+    }
+    expectSameRun(runs[0], runs[1]);
+
+    // Every perturbation the scenario aims at actually fired.
+    EXPECT_GT(runs[0].resilience.alertsSuppressed, 0);
+    EXPECT_GT(runs[0].resilience.alertsInjected, 0);
+    EXPECT_GT(runs[0].resilience.degradedDecisions, 0);
+    EXPECT_GT(runs[0].overrideCount, 0);
+}
+
 TEST(FaultRun, KilledVrLeavesTheActiveSetWithinOneInterval)
 {
     // Kill chip VR 0 mid-run under AllOn (which would otherwise keep

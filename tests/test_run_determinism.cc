@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -46,6 +47,22 @@ operator new[](std::size_t size)
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from the same malloc as the replaced deletes free into.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
 }
 
 void
@@ -84,6 +101,39 @@ miniConfig(int jobs)
     cfg.profilingEpochs = 8;
     cfg.jobs = jobs;
     return cfg;
+}
+
+/** The scalar fields a hexfloat golden pins. */
+struct Golden
+{
+    core::PolicyKind policy;
+    double maxTmax;
+    double maxGradient;
+    double maxNoiseFrac;
+    double emergencyFrac;
+    double avgRegulatorLoss;
+    double avgEta;
+    double avgActiveVrs;
+    double meanPower;
+    double agingImbalance;
+    long overrideCount;
+    const char *hottestSpot;
+};
+
+void
+expectGolden(const RunResult &r, const Golden &g)
+{
+    EXPECT_EQ(r.maxTmax, g.maxTmax);
+    EXPECT_EQ(r.maxGradient, g.maxGradient);
+    EXPECT_EQ(r.maxNoiseFrac, g.maxNoiseFrac);
+    EXPECT_EQ(r.emergencyFrac, g.emergencyFrac);
+    EXPECT_EQ(r.avgRegulatorLoss, g.avgRegulatorLoss);
+    EXPECT_EQ(r.avgEta, g.avgEta);
+    EXPECT_EQ(r.avgActiveVrs, g.avgActiveVrs);
+    EXPECT_EQ(r.meanPower, g.meanPower);
+    EXPECT_EQ(r.agingImbalance, g.agingImbalance);
+    EXPECT_EQ(r.overrideCount, g.overrideCount);
+    EXPECT_EQ(r.hottestSpot, g.hottestSpot);
 }
 
 void
@@ -165,33 +215,19 @@ TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
     // must reproduce them bit for bit; a drift here means the
     // "bit-identical at every width" contract broke, not that a
     // tolerance needs loosening.
-    struct Golden
-    {
-        core::PolicyKind policy;
-        double maxTmax;
-        double maxGradient;
-        double maxNoiseFrac;
-        double avgRegulatorLoss;
-        double avgEta;
-        double avgActiveVrs;
-        double meanPower;
-        double agingImbalance;
-        long overrideCount;
-        const char *hottestSpot;
-    };
     const Golden goldens[] = {
         {core::PolicyKind::AllOn, 0x1.f6e04cf2063d9p+5,
-         0x1.cb9628139c82p+3, 0x1.91a559199e6c2p-5,
+         0x1.cb9628139c82p+3, 0x1.91a559199e6c2p-5, 0.0,
          0x1.9eb022a2f6572p+1, 0x1.b4b8e56353779p-1, 0x1.8p+4,
          0x1.2be39b60c59cbp+4, 0x1.40d3b16183bd1p+0, 0,
          "core0.vr8"},
         {core::PolicyKind::OracVT, 0x1.ecc81346d6dap+5,
-         0x1.a40c8aac6f22cp+3, 0x1.06045784fa272p-4,
+         0x1.a40c8aac6f22cp+3, 0x1.06045784fa272p-4, 0.0,
          0x1.2e3e4e8b8003p+1, 0x1.c6b05a56b5db7p-1,
          0x1.baaaaaaaaaaa7p+3, 0x1.2b0468e36b51dp+4,
          0x1.9be351c636f6ep+0, 0, "core0.vr4"},
         {core::PolicyKind::PracVT, 0x1.ec72adb46772ep+5,
-         0x1.a2b3b234839b4p+3, 0x1.2966db34f5acp-4,
+         0x1.a2b3b234839b4p+3, 0x1.2966db34f5acp-4, 0.0,
          0x1.587b32b6dabd1p+1, 0x1.bfdd61564727dp-1,
          0x1.0d55555555549p+4, 0x1.2b40d60d2ea86p+4,
          0x1.608b943f395dfp+0, 0, "core0.vr7"},
@@ -201,19 +237,72 @@ TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
     SimConfig cfg = miniConfig(1);
     cfg.noiseSamples = 24;
     Simulation s(chip, cfg);
-    for (const auto &g : goldens) {
-        auto r = s.run(workload::profileByName("fft"), g.policy);
-        EXPECT_EQ(r.maxTmax, g.maxTmax);
-        EXPECT_EQ(r.maxGradient, g.maxGradient);
-        EXPECT_EQ(r.maxNoiseFrac, g.maxNoiseFrac);
-        EXPECT_EQ(r.emergencyFrac, 0.0);
-        EXPECT_EQ(r.avgRegulatorLoss, g.avgRegulatorLoss);
-        EXPECT_EQ(r.avgEta, g.avgEta);
-        EXPECT_EQ(r.avgActiveVrs, g.avgActiveVrs);
-        EXPECT_EQ(r.meanPower, g.meanPower);
-        EXPECT_EQ(r.agingImbalance, g.agingImbalance);
-        EXPECT_EQ(r.overrideCount, g.overrideCount);
-        EXPECT_EQ(r.hottestSpot, g.hottestSpot);
+    for (const auto &g : goldens)
+        expectGolden(s.run(workload::profileByName("fft"), g.policy),
+                     g);
+}
+
+TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
+{
+    // Goldens of runs that take the emergency-override path (truth
+    // windows, predictor draw, all-on re-decision), captured before
+    // the decision epoch was split into decide / truth / apply
+    // phases. The mini-chip fmm PracVT run overrides once on a
+    // predictor false alarm; the POWER8 barnes runs override on real
+    // truth-window emergencies (OracVT twice; PracVT twice, plus two
+    // false alarms) and record a non-zero emergency fraction.
+    const Golden mini[] = {
+        {core::PolicyKind::OracVT, 0x1.f3f6ff4eb755dp+5,
+         0x1.eb4c6fec6e888p+3, 0x1.192351334d624p-4, 0.0,
+         0x1.35775abe63761p+1, 0x1.c7afcdf0bb4f9p-1,
+         0x1.dc71c71c71c76p+3, 0x1.382aafd5936d2p+4,
+         0x1.de8a238e3e50fp+0, 0, "core0.vr5"},
+        {core::PolicyKind::PracVT, 0x1.ff6235b8f0d1p+5,
+         0x1.0ce88693232eep+4, 0x1.e51e2f03cfe84p-5, 0.0,
+         0x1.6218f2788e189p+1, 0x1.c0c68a20e258ep-1,
+         0x1.38e38e38e38e5p+4, 0x1.38763b00bcfcfp+4,
+         0x1.8aa3f0fc5f1c7p+0, 1, "core0.vr7"},
+    };
+    const Golden power8[] = {
+        {core::PolicyKind::OracVT, 0x1.0ce7a26ee6a66p+6,
+         0x1.0730512285fc4p+4, 0x1.a645b03ac8194p-4,
+         0x1.70a3d70a3d70ap-11, 0x1.4049bc162ee5cp+3,
+         0x1.c666e7d07b161p-1, 0x1.eap+5, 0x1.4ec1946672ff4p+6,
+         0x1.bd24c83126d19p+0, 2, "core6.vr8"},
+        {core::PolicyKind::PracVT, 0x1.0d0bfc6115c28p+6,
+         0x1.079cc13e0915ep+4, 0x1.a6523530e9f9p-4,
+         0x1.999999999999ap-11, 0x1.55d3722963c68p+3,
+         0x1.c32e7cdefc9bbp-1, 0x1.2400000000008p+6,
+         0x1.4f01a641ec2bbp+6, 0x1.8c514345059cap+0, 4,
+         "core6.vr8"},
+    };
+
+    auto mini_chip = floorplan::buildMiniChip(2);
+    auto p8_chip = floorplan::buildPower8Chip();
+    for (int jobs : {1, 4}) {
+        for (int width : {1, 4}) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " width=" + std::to_string(width));
+            SimConfig mini_cfg = miniConfig(jobs);
+            mini_cfg.noiseSamples = 24;
+            mini_cfg.noiseBatchWidth = width;
+            Simulation ms(mini_chip, mini_cfg);
+            for (const auto &g : mini)
+                expectGolden(
+                    ms.run(workload::profileByName("fmm"), g.policy),
+                    g);
+
+            SimConfig p8_cfg;
+            p8_cfg.noiseSamples = 32;
+            p8_cfg.jobs = jobs;
+            p8_cfg.noiseBatchWidth = width;
+            Simulation ps(p8_chip, p8_cfg);
+            for (const auto &g : power8)
+                expectGolden(
+                    ps.run(workload::profileByName("barnes"),
+                           g.policy),
+                    g);
+        }
     }
 }
 
@@ -323,25 +412,37 @@ TEST(AllocationDiscipline, WarmRunAllocationsAreBounded)
     // first use, per-epoch decision vectors) but must stay far below
     // the historical per-frame/per-cycle churn: the old loop paid ~6
     // vector allocations per frame plus one row vector per transient
-    // cycle (hundreds per noise window).
-    auto chip = floorplan::buildMiniChip(1);
-    Simulation s(chip, miniConfig(1));
-    const auto &profile = workload::profileByName("fft");
-    s.run(profile, core::PolicyKind::PracVT);  // warm-up
+    // cycle (hundreds per noise window). The budget holds serially on
+    // one domain and with the pooled decide / truth / apply epoch on
+    // two domains, whose per-domain decision buffers are sized once
+    // per run.
+    struct Case
+    {
+        int cores;
+        int jobs;
+    };
+    for (const Case &c : {Case{1, 1}, Case{2, 4}}) {
+        SCOPED_TRACE("cores=" + std::to_string(c.cores) +
+                     " jobs=" + std::to_string(c.jobs));
+        auto chip = floorplan::buildMiniChip(c.cores);
+        Simulation s(chip, miniConfig(c.jobs));
+        const auto &profile = workload::profileByName("fft");
+        s.run(profile, core::PolicyKind::PracVT);  // warm-up
 
-    RecordOptions series;
-    series.timeSeries = true;
-    auto probe = s.run(profile, core::PolicyKind::PracVT, series);
-    long n_frames = static_cast<long>(probe.timeUs.size());
-    ASSERT_GT(n_frames, 0);
+        RecordOptions series;
+        series.timeSeries = true;
+        auto probe = s.run(profile, core::PolicyKind::PracVT, series);
+        long n_frames = static_cast<long>(probe.timeUs.size());
+        ASSERT_GT(n_frames, 0);
 
-    long before = g_allocCount.load(std::memory_order_relaxed);
-    s.run(profile, core::PolicyKind::PracVT);
-    long after = g_allocCount.load(std::memory_order_relaxed);
-    long per_frame_budget = 5;  // activity/demand trace construction
-    EXPECT_LT(after - before, 4096 + per_frame_budget * n_frames)
-        << "warm run allocated " << (after - before) << " times over "
-        << n_frames << " frames";
+        long before = g_allocCount.load(std::memory_order_relaxed);
+        s.run(profile, core::PolicyKind::PracVT);
+        long after = g_allocCount.load(std::memory_order_relaxed);
+        long per_frame_budget = 5;  // activity/demand trace construction
+        EXPECT_LT(after - before, 4096 + per_frame_budget * n_frames)
+            << "warm run allocated " << (after - before)
+            << " times over " << n_frames << " frames";
+    }
 }
 
 } // namespace
