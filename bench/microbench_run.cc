@@ -121,62 +121,121 @@ BM_RunAllOnUncoalesced(benchmark::State &state)
 }
 BENCHMARK(BM_RunAllOnUncoalesced)->Unit(benchmark::kMillisecond);
 
+constexpr std::size_t kKernelCycles = 512;
+constexpr int kKernelWarmup = 128;
+
 /**
- * The batched lockstep transient kernel in isolation: Arg is the
- * batch width, and each iteration advances `width` independent noise
- * windows through domain 0's current factorisation in one
- * transientWindowBatch() call. Throughput is reported as
- * window-cycles per second (items/s), so the widths are directly
- * comparable: the results are bit-identical at every width, only the
- * rate moves.
+ * Base node currents of the eight kernel-benchmark windows (domain 0,
+ * distinct uniform block powers), built once per process.
  */
-void
-BM_TransientKernelBatch(benchmark::State &state)
+const std::vector<std::vector<Amperes>> &
+kernelBases()
 {
-    auto &s = sharedSim();
-    const auto &pdn = s.domainPdn(0);
-    const std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
-    constexpr std::size_t kCycles = 512;
-    constexpr int kWarmup = 128;
+    static const std::vector<std::vector<Amperes>> bases = [] {
+        auto &s = sharedSim();
+        const auto &chip = s.chip();
+        std::vector<std::vector<Amperes>> b;
+        for (int i = 0; i < 8; ++i) {
+            std::vector<Watts> bp(chip.plan.blocks().size(), 0.0);
+            for (int blk : chip.plan.domains()[0].blocks)
+                bp[static_cast<std::size_t>(blk)] = 0.6 + 0.15 * i;
+            b.push_back(s.domainPdn(0).nodeCurrents(bp));
+        }
+        return b;
+    }();
+    return bases;
+}
 
-    // Eight distinct load-step windows, built once per process.
-    static const std::vector<std::vector<Amperes>> windows =
-        [&]() {
-            const auto &chip = s.chip();
-            std::vector<std::vector<Amperes>> w;
-            for (int i = 0; i < 8; ++i) {
-                std::vector<Watts> bp(chip.plan.blocks().size(), 0.0);
-                for (int b : chip.plan.domains()[0].blocks)
-                    bp[static_cast<std::size_t>(b)] = 0.6 + 0.15 * i;
-                auto base = pdn.nodeCurrents(bp);
-                std::vector<Amperes> win(kCycles * n);
-                for (std::size_t c = 0; c < kCycles; ++c) {
-                    double m = 1.0 + 0.5 * ((c / 64) % 2);
-                    for (std::size_t j = 0; j < n; ++j)
-                        win[c * n + j] = base[j] * m;
-                }
-                w.push_back(std::move(win));
-            }
-            return w;
-        }();
+/** Load-step multiplier of cycle c: 1.0 and 1.5 every 64 cycles. */
+double
+kernelStep(std::size_t c)
+{
+    return 1.0 + 0.5 * static_cast<double>((c / 64) % 2);
+}
 
-    int width = static_cast<int>(state.range(0));
-    std::vector<pdn::DomainPdn::WindowSpec> specs;
-    for (int i = 0; i < width; ++i)
-        specs.push_back(
-            {windows[static_cast<std::size_t>(i)].data(), n});
-    std::vector<pdn::NoiseResult> out(
-        static_cast<std::size_t>(width));
+/** Times `width` windows per iteration as window-cycles per second. */
+template <class Window>
+void
+timeKernel(benchmark::State &state, const std::vector<Window> &windows)
+{
+    const auto &pdn = sharedSim().domainPdn(0);
+    int width = static_cast<int>(windows.size());
+    std::vector<pdn::NoiseResult> out(windows.size());
     for (auto _ : state) {
-        pdn.transientWindowBatch(specs.data(), width, kCycles,
-                                 kWarmup, false, out.data());
+        pdn.transientWindowBatch(windows.data(), width, kKernelCycles,
+                                 kKernelWarmup, false, out.data());
         benchmark::DoNotOptimize(out[0].maxNoiseFrac);
     }
     state.SetItemsProcessed(
         state.iterations() * static_cast<std::int64_t>(width) *
-        static_cast<std::int64_t>(kCycles));
+        static_cast<std::int64_t>(kKernelCycles));
+}
+
+/**
+ * The batched lockstep transient kernel in isolation: Arg is the
+ * batch width, and each iteration advances `width` independent noise
+ * windows, stored as full cycles x nodeCount buffers, through domain
+ * 0's current factorisation in one transientWindowBatch() call.
+ * Throughput is reported as window-cycles per second (items/s), so
+ * the widths are directly comparable: the results are bit-identical
+ * at every width, only the rate moves.
+ */
+void
+BM_TransientKernelBatch(benchmark::State &state)
+{
+    const std::size_t n =
+        static_cast<std::size_t>(sharedSim().domainPdn(0).nodeCount());
+    static const std::vector<std::vector<Amperes>> buffers = [n] {
+        std::vector<std::vector<Amperes>> w;
+        for (const auto &base : kernelBases()) {
+            std::vector<Amperes> win(kKernelCycles * n);
+            for (std::size_t c = 0; c < kKernelCycles; ++c)
+                for (std::size_t j = 0; j < n; ++j)
+                    win[c * n + j] = base[j] * kernelStep(c);
+            w.push_back(std::move(win));
+        }
+        return w;
+    }();
+    std::vector<pdn::DomainPdn::WindowSpec> specs;
+    for (int i = 0; i < state.range(0); ++i)
+        specs.push_back({buffers[static_cast<std::size_t>(i)].data(), n});
+    timeKernel(state, specs);
 }
 BENCHMARK(BM_TransientKernelBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * BM_TransientKernelBatch over separable windows, the run loop's
+ * form: the same eight windows as a base vector times the step
+ * multipliers (plus a zero second base), so the kernel builds each
+ * cycle's load itself and solves exactly the loads of the buffered
+ * benchmark. The gap between the two at one width is the cost of
+ * building loads in the kernel instead of reading stored buffers.
+ */
+void
+BM_TransientKernelSeparable(benchmark::State &state)
+{
+    const std::size_t n =
+        static_cast<std::size_t>(sharedSim().domainPdn(0).nodeCount());
+    static const std::vector<Amperes> zeros(n, 0.0);
+    static const std::vector<double> step = [] {
+        std::vector<double> m(kKernelCycles);
+        for (std::size_t c = 0; c < kKernelCycles; ++c)
+            m[c] = kernelStep(c);
+        return m;
+    }();
+    static const std::vector<double> ones(kKernelCycles, 1.0);
+    std::vector<pdn::DomainPdn::SeparableWindow> windows;
+    for (int i = 0; i < state.range(0); ++i)
+        windows.push_back({kernelBases()[static_cast<std::size_t>(i)].data(),
+                           zeros.data(), step.data(), ones.data()});
+    timeKernel(state, windows);
+}
+BENCHMARK(BM_TransientKernelSeparable)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

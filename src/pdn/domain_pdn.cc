@@ -1,8 +1,10 @@
 #include "pdn/domain_pdn.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
@@ -351,37 +353,6 @@ DomainPdn::makeDowndate(const SparseLdltSolver &base,
 }
 
 void
-DomainPdn::solveReduced(const SparseLdltSolver &base, const Downdate &dd,
-                        std::vector<double> &x) const
-{
-    base.solveInPlace(x);
-    std::size_t r = dd.nodes.size();
-    if (r == 0)
-        return;
-    // Woodbury correction: x += W capInverse (E^T x).
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    smallScratch.resize(2 * r);
-    double *s = smallScratch.data();
-    double *u = s + r;
-    for (std::size_t a = 0; a < r; ++a)
-        s[a] = x[static_cast<std::size_t>(dd.nodes[a])];
-    for (std::size_t a = 0; a < r; ++a) {
-        const double *ca = dd.capInverse.row(a);
-        double acc = 0.0;
-        for (std::size_t b = 0; b < r; ++b)
-            acc += ca[b] * s[b];
-        u[a] = acc;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *wi = dd.w.row(i);
-        double acc = 0.0;
-        for (std::size_t a = 0; a < r; ++a)
-            acc += wi[a] * u[a];
-        x[i] += acc;
-    }
-}
-
-void
 DomainPdn::setActive(const std::vector<int> &active_local)
 {
     TG_ASSERT(!active_local.empty(),
@@ -494,7 +465,7 @@ DomainPdn::steadyVoltages(const std::vector<Amperes> &node_currents) const
     for (int k : activeSet)
         v[static_cast<std::size_t>(
             vrNodes[static_cast<std::size_t>(k)])] += inj;
-    solveReduced(*steadyBase, current->steady, v);
+    solveReducedBatch<1>(*steadyBase, current->steady, v.data());
     return v;
 }
 
@@ -534,106 +505,16 @@ DomainPdn::transientWindow(const Amperes *currents, std::size_t cycles,
                            std::size_t stride, int warmup,
                            bool keep_trace) const
 {
-    TG_ASSERT(cycles > 0, "empty transient window");
-    TG_ASSERT(stride >= static_cast<std::size_t>(nNodes),
-              "cycle stride below node count");
-    TG_ASSERT(warmup >= 0 && warmup < static_cast<int>(cycles),
-              "warmup must leave analysis cycles");
-    TG_ASSERT(current != nullptr, "setActive() must precede solves");
-
-#ifdef TG_DEBUG_CHECKS
-    for (std::size_t cyc = 0; cyc < cycles; ++cyc)
-        for (int i = 0; i < nNodes; ++i)
-            TG_DEBUG_ASSERT(
-                std::isfinite(currents[cyc * stride +
-                                       static_cast<std::size_t>(i)]),
-                "non-finite load current at cycle ", cyc, " node ", i);
-#endif
-
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    std::size_t m = activeSet.size();
-    double vdd = chipRef.params.vdd;
-    double dt = prm.cycleTime;
-    double r_out = design.outputResistance;
-
-    // Per-branch transient resistance R_k = L_k/dt + R_out.
-    branchR.resize(m);
-    for (std::size_t k = 0; k < m; ++k)
-        branchR[k] =
-            vrLoopL[static_cast<std::size_t>(activeSet[k])] / dt + r_out;
-
-    // Initial condition: steady state at the first cycle's load; the
-    // branch currents follow from Vdd = V_node + R_out I.
-    voltScratch.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        voltScratch[i] = -currents[i];
-    for (std::size_t k = 0; k < m; ++k)
-        voltScratch[static_cast<std::size_t>(
-            vrNodes[static_cast<std::size_t>(activeSet[k])])] +=
-            vdd / r_out;
-    solveReduced(*steadyBase, current->steady, voltScratch);
-    branchScratch.resize(m);
-    for (std::size_t k = 0; k < m; ++k)
-        branchScratch[k] =
-            (vdd - voltScratch[static_cast<std::size_t>(
-                       vrNodes[static_cast<std::size_t>(
-                           activeSet[k])])]) /
-            r_out;
-
+    const WindowSpec spec{currents, stride};
     NoiseResult res;
-    if (keep_trace)
-        res.trace.reserve(cycles);
-
-    // Implicit Euler in reduced form:
-    //   (C/dt + G + sum 1/R_k) V' = C/dt V - I_load + sum g_k/R_k e_k
-    //   I'_k = (g_k - V'_{node_k}) / R_k,  g_k = L_k/dt I_k + Vdd.
-    rhsScratch.resize(n);
-    branchRhs.resize(m);
-    for (std::size_t cyc = 0; cyc < cycles; ++cyc) {
-        const Amperes *load = currents + cyc * stride;
-        for (std::size_t i = 0; i < n; ++i)
-            rhsScratch[i] = decap[i] / dt * voltScratch[i] - load[i];
-        for (std::size_t k = 0; k < m; ++k) {
-            branchRhs[k] =
-                vrLoopL[static_cast<std::size_t>(activeSet[k])] / dt *
-                    branchScratch[k] +
-                vdd;
-            rhsScratch[static_cast<std::size_t>(
-                vrNodes[static_cast<std::size_t>(activeSet[k])])] +=
-                branchRhs[k] / branchR[k];
-        }
-        solveReduced(*transientBase, current->transient, rhsScratch);
-        voltScratch.swap(rhsScratch);
-        for (std::size_t k = 0; k < m; ++k)
-            branchScratch[k] =
-                (branchRhs[k] -
-                 voltScratch[static_cast<std::size_t>(
-                     vrNodes[static_cast<std::size_t>(activeSet[k])])]) /
-                branchR[k];
-
-        double droop = 0.0;
-        for (int i : loadIdx)
-            droop = std::max(
-                droop,
-                (vdd - voltScratch[static_cast<std::size_t>(i)]) / vdd);
-        if (keep_trace)
-            res.trace.push_back(droop);
-        if (static_cast<int>(cyc) >= warmup) {
-            ++res.analysedCycles;
-            res.maxNoiseFrac = std::max(res.maxNoiseFrac, droop);
-            if (droop > prm.emergencyFrac)
-                ++res.emergencyCycles;
-        }
-    }
-    TG_DEBUG_ASSERT(std::isfinite(res.maxNoiseFrac),
-                    "non-finite max droop from transient window");
+    transientWindowBatch(&spec, 1, cycles, warmup, keep_trace, &res);
     return res;
 }
 
 /**
  * Woodbury-corrected solve for W interleaved lanes (lane l of row i
  * at x[i*W + l]): one batched base solve, then the rank-r correction
- * applied lane-wise in the exact scalar operation order.
+ * x += W capInverse (E^T x) applied lane-wise.
  */
 template <int W>
 void
@@ -669,20 +550,28 @@ DomainPdn::solveReducedBatch(const SparseLdltSolver &base,
 }
 
 /**
- * Fixed-width lockstep transient kernel: W independent cycle-current
- * windows advance through the shared factorisation, one lane each.
- * Every per-cycle step mirrors the scalar transientWindow() loop
- * with the lane dimension innermost, so lane l's floating-point
- * op sequence — rhs assembly, solve, branch update, droop max — is
- * the scalar sequence exactly.
+ * Fixed-width lockstep transient kernel, the only transient solver:
+ * W independent windows advance through the shared factorisation,
+ * one lane each, with the lane dimension innermost. Lane l's
+ * floating-point op sequence — load build, rhs assembly, solve,
+ * branch update, droop max — depends only on window l, so every
+ * width (1 included) and every chunking gives the same bits.
+ *
+ * The load of cycle c comes from one of two sources. A WindowSpec
+ * lane gathers row c of its strided buffer. A SeparableWindow lane
+ * evaluates a[i] * ma[c] + b[i] * mb[c] here, with a and b
+ * interleaved once per call: the expression and order a
+ * buffer-filling caller would use, so both sources give the same
+ * bits for the same loads.
  */
-template <int W>
+template <int W, class Window>
 void
-DomainPdn::transientWindowLockstep(const WindowSpec *windows,
+DomainPdn::transientWindowLockstep(const Window *windows,
                                    std::size_t cycles, int warmup,
                                    bool keep_trace,
                                    NoiseResult *out) const
 {
+    constexpr bool kSeparable = std::is_same_v<Window, SeparableWindow>;
     using B = DoubleBatch<W>;
     std::size_t n = static_cast<std::size_t>(nNodes);
     std::size_t m = activeSet.size();
@@ -690,17 +579,63 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     double dt = prm.cycleTime;
     double r_out = design.outputResistance;
 
+    if constexpr (kSeparable) {
+        batchBaseA.resize(n * W);
+        batchBaseB.resize(n * W);
+        for (std::size_t i = 0; i < n; ++i)
+            for (int l = 0; l < W; ++l) {
+                batchBaseA[i * W + l] = windows[l].a[i];
+                batchBaseB[i * W + l] = windows[l].b[i];
+            }
+    }
+    // Lane loads of cycle `cyc`, as a node -> batch function.
+    auto cycle_load = [&](std::size_t cyc) {
+        if constexpr (kSeparable) {
+            double ma[W];
+            double mb[W];
+            for (int l = 0; l < W; ++l) {
+                ma[l] = windows[l].ma[cyc];
+                mb[l] = windows[l].mb[cyc];
+            }
+            const B bma = B::load(ma);
+            const B bmb = B::load(mb);
+            const double *pa = batchBaseA.data();
+            const double *pb = batchBaseB.data();
+            return [=](std::size_t i) {
+                return B::load(pa + i * W) * bma +
+                       B::load(pb + i * W) * bmb;
+            };
+        } else {
+            std::array<const Amperes *, W> rows;
+            for (int l = 0; l < W; ++l)
+                rows[static_cast<std::size_t>(l)] =
+                    windows[l].currents + cyc * windows[l].stride;
+            return [=](std::size_t i) {
+                double cur[W];
+                for (int l = 0; l < W; ++l)
+                    cur[l] = rows[static_cast<std::size_t>(l)][i];
+                return B::load(cur);
+            };
+        }
+    };
+
     branchR.resize(m);
     for (std::size_t k = 0; k < m; ++k)
         branchR[k] =
             vrLoopL[static_cast<std::size_t>(activeSet[k])] / dt + r_out;
 
     // Initial condition per lane: steady state at the lane's first
-    // cycle, branch currents from Vdd = V_node + R_out I.
+    // cycle, branch currents from Vdd = V_node + R_out I. The rhs is
+    // the negated load (not 0 - load), which keeps the sign of zero.
     batchVolt.resize(n * W);
-    for (std::size_t i = 0; i < n; ++i)
-        for (int l = 0; l < W; ++l)
-            batchVolt[i * W + l] = -windows[l].currents[i];
+    {
+        const auto load0 = cycle_load(0);
+        for (std::size_t i = 0; i < n; ++i) {
+            load0(i).store(batchVolt.data() + i * W);
+            for (int l = 0; l < W; ++l)
+                batchVolt[i * W + l] = -batchVolt[i * W + l];
+        }
+    }
     for (std::size_t k = 0; k < m; ++k) {
         std::size_t node = static_cast<std::size_t>(
             vrNodes[static_cast<std::size_t>(activeSet[k])]);
@@ -727,20 +662,18 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
             out[l].trace.reserve(cycles);
     }
 
+    // Implicit Euler in reduced form:
+    //   (C/dt + G + sum 1/R_k) V' = C/dt V - I_load + sum g_k/R_k e_k
+    //   I'_k = (g_k - V'_{node_k}) / R_k,  g_k = L_k/dt I_k + Vdd.
     batchRhs.resize(n * W);
     batchBranchRhs.resize(m * W);
     for (std::size_t cyc = 0; cyc < cycles; ++cyc) {
-        const Amperes *rows[W];
-        for (int l = 0; l < W; ++l)
-            rows[l] = windows[l].currents + cyc * windows[l].stride;
+        const auto load = cycle_load(cyc);
         for (std::size_t i = 0; i < n; ++i) {
             const double g = decap[i] / dt;
-            double cur[W];
-            for (int l = 0; l < W; ++l)
-                cur[l] = rows[l][i];
-            // Lane l: g * volt - current, the scalar rhs expression
-            // (batch * scalar multiplies lane-first, bit-commutative).
-            (B::load(batchVolt.data() + i * W) * g - B::load(cur))
+            // Lane l: g * volt - current (batch * scalar multiplies
+            // lane-first, bit-commutative).
+            (B::load(batchVolt.data() + i * W) * g - load(i))
                 .store(batchRhs.data() + i * W);
         }
         for (std::size_t k = 0; k < m; ++k) {
@@ -786,24 +719,22 @@ DomainPdn::transientWindowLockstep(const WindowSpec *windows,
     }
 }
 
+/**
+ * Chunk `count` windows into the widest fixed kernels (8/4/2/1). Any
+ * chunking yields the same bits: lanes never interact.
+ */
+template <class Window>
 void
-DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
-                                std::size_t cycles, int warmup,
-                                bool keep_trace,
-                                NoiseResult *out) const
+DomainPdn::transientWindowChunks(const Window *windows, int count,
+                                 std::size_t cycles, int warmup,
+                                 bool keep_trace, NoiseResult *out) const
 {
     TG_ASSERT(count > 0, "empty window batch");
     TG_ASSERT(cycles > 0, "empty transient window");
     TG_ASSERT(warmup >= 0 && warmup < static_cast<int>(cycles),
               "warmup must leave analysis cycles");
     TG_ASSERT(current != nullptr, "setActive() must precede solves");
-    for (int i = 0; i < count; ++i)
-        TG_ASSERT(windows[i].stride >=
-                      static_cast<std::size_t>(nNodes),
-                  "cycle stride below node count");
 
-    // Chunk into the widest fixed kernels, scalar ragged tail. Any
-    // chunking yields the same bits: lanes never interact.
     int done = 0;
     while (done < count) {
         int left = count - done;
@@ -820,9 +751,8 @@ DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
                                        keep_trace, out + done);
             done += 2;
         } else {
-            out[done] = transientWindow(windows[done].currents, cycles,
-                                        windows[done].stride, warmup,
-                                        keep_trace);
+            transientWindowLockstep<1>(windows + done, cycles, warmup,
+                                       keep_trace, out + done);
             ++done;
         }
     }
@@ -833,6 +763,57 @@ DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
                         "non-finite max droop from window batch lane ",
                         i);
 #endif
+}
+
+void
+DomainPdn::transientWindowBatch(const WindowSpec *windows, int count,
+                                std::size_t cycles, int warmup,
+                                bool keep_trace,
+                                NoiseResult *out) const
+{
+    for (int w = 0; w < count; ++w) {
+        TG_ASSERT(windows[w].stride >= static_cast<std::size_t>(nNodes),
+                  "cycle stride below node count");
+#ifdef TG_DEBUG_CHECKS
+        for (std::size_t cyc = 0; cyc < cycles; ++cyc)
+            for (int i = 0; i < nNodes; ++i)
+                TG_DEBUG_ASSERT(
+                    std::isfinite(
+                        windows[w].currents[cyc * windows[w].stride +
+                                            static_cast<std::size_t>(i)]),
+                    "non-finite load current in window ", w, " at cycle ",
+                    cyc, " node ", i);
+#endif
+    }
+    transientWindowChunks(windows, count, cycles, warmup, keep_trace,
+                          out);
+}
+
+void
+DomainPdn::transientWindowBatch(const SeparableWindow *windows,
+                                int count, std::size_t cycles,
+                                int warmup, bool keep_trace,
+                                NoiseResult *out) const
+{
+    for (int w = 0; w < count; ++w) {
+        const SeparableWindow &sw = windows[w];
+        TG_ASSERT(sw.a && sw.b && sw.ma && sw.mb,
+                  "separable window ", w, " has a null source");
+#ifdef TG_DEBUG_CHECKS
+        for (int i = 0; i < nNodes; ++i)
+            TG_DEBUG_ASSERT(std::isfinite(sw.a[i]) &&
+                                std::isfinite(sw.b[i]),
+                            "non-finite base current in window ", w,
+                            " node ", i);
+        for (std::size_t cyc = 0; cyc < cycles; ++cyc)
+            TG_DEBUG_ASSERT(std::isfinite(sw.ma[cyc]) &&
+                                std::isfinite(sw.mb[cyc]),
+                            "non-finite multiplier in window ", w,
+                            " at cycle ", cyc);
+#endif
+    }
+    transientWindowChunks(windows, count, cycles, warmup, keep_trace,
+                          out);
 }
 
 std::pair<double, double>

@@ -169,7 +169,8 @@ class DomainPdn
      * Transient window: `cycle_currents[c]` holds per-node load
      * currents at cycle c. The first `warmup` cycles settle the state
      * (initialised from the steady solution of cycle 0) and are
-     * excluded from the statistics.
+     * excluded from the statistics. Packs the rows and runs the
+     * single-lane lockstep kernel (transientWindowBatch(..., 1, ...)).
      */
     NoiseResult
     transientWindow(const std::vector<std::vector<Amperes>> &cycle_currents,
@@ -178,10 +179,8 @@ class DomainPdn
     /**
      * transientWindow() over a flat row-major cycle buffer: the load
      * currents of cycle c are the `nodeCount()` values starting at
-     * `currents + c * stride` (stride >= nodeCount()). The run loop's
-     * noise sampler builds one contiguous window per domain and hands
-     * a strided view here, so no per-cycle row vectors exist; the
-     * vector-of-rows overload packs into this form.
+     * `currents + c * stride` (stride >= nodeCount()). A single-lane
+     * transientWindowBatch() of one WindowSpec.
      */
     NoiseResult transientWindow(const Amperes *currents,
                                 std::size_t cycles, std::size_t stride,
@@ -195,6 +194,23 @@ class DomainPdn
         std::size_t stride = 0;            //!< row stride >= nodeCount()
     };
 
+    /**
+     * One window of a lockstep batch in separable form: the load of
+     * node i at cycle c is `a[i] * ma[c] + b[i] * mb[c]`, evaluated
+     * in exactly that order inside the kernel. Two base-current
+     * vectors (nodeCount() each) and two multiplier sequences (cycles
+     * each) replace the cycles x nodeCount() buffer a WindowSpec
+     * needs, and give the same bits as that buffer filled with the
+     * same expression. Lanes may share base vectors.
+     */
+    struct SeparableWindow
+    {
+        const Amperes *a = nullptr; //!< first base-current vector
+        const Amperes *b = nullptr; //!< second base-current vector
+        const double *ma = nullptr; //!< per-cycle multipliers of a
+        const double *mb = nullptr; //!< per-cycle multipliers of b
+    };
+
     /** Widest lockstep kernel instantiated (see common/simd.hh). */
     static constexpr int kMaxWindowBatch = 8;
 
@@ -203,15 +219,23 @@ class DomainPdn
      * current factorisation in SIMD lockstep: per-cycle base solve,
      * Woodbury rank-r correction, branch update, and droop scan all
      * execute once per cycle for the whole batch, with each window
-     * occupying one lane. Lane arithmetic preserves the exact scalar
-     * operation order, so out[i] is bit-identical to
-     * transientWindow(windows[i].currents, cycles, windows[i].stride,
-     * warmup, keep_trace) at every batch width. `count` is chunked
-     * internally into fixed widths (8/4/2) with a scalar ragged
-     * tail; all windows share cycles/warmup. No heap allocation
-     * after the first call at a given width (trace buffers aside).
+     * occupying one lane. Lanes never interact, so out[i] is the same
+     * bits at every batch width and chunking. `count` is chunked
+     * internally into fixed widths (8/4/2/1); all windows share
+     * cycles/warmup. No heap allocation after the first call at a
+     * given width (trace buffers aside).
      */
     void transientWindowBatch(const WindowSpec *windows, int count,
+                              std::size_t cycles, int warmup,
+                              bool keep_trace, NoiseResult *out) const;
+
+    /**
+     * transientWindowBatch() over separable windows: each cycle's
+     * load is built inside the kernel, so no window buffer exists.
+     * out[i] is bit-identical to the WindowSpec form over a buffer
+     * holding windows[i]'s loads.
+     */
+    void transientWindowBatch(const SeparableWindow *windows, int count,
                               std::size_t cycles, int warmup,
                               bool keep_trace, NoiseResult *out) const;
 
@@ -340,10 +364,6 @@ class DomainPdn
     Matrix transferR;  //!< nodeCount x vrCount transfer resistances
 
     // Reusable solve workspaces (see thread-safety note above).
-    mutable std::vector<double> voltScratch;   //!< node voltages
-    mutable std::vector<double> rhsScratch;    //!< reduced-system rhs
-    mutable std::vector<double> branchScratch; //!< branch currents
-    mutable std::vector<double> branchRhs;     //!< branch rhs g_k
     mutable std::vector<double> branchR;       //!< branch R (L/dt+R)
     mutable std::vector<double> smallScratch;  //!< rank-r correction
     mutable std::vector<double> windowScratch; //!< packed cycle rows
@@ -351,6 +371,8 @@ class DomainPdn
     mutable std::vector<double> batchRhs;      //!< n x W lane rhs
     mutable std::vector<double> batchBranch;   //!< m x W lane currents
     mutable std::vector<double> batchBranchRhs; //!< m x W lane g_k
+    mutable std::vector<double> batchBaseA;    //!< n x W separable a
+    mutable std::vector<double> batchBaseB;    //!< n x W separable b
 
     void buildTopology();
     void buildBaseFactors();
@@ -358,13 +380,15 @@ class DomainPdn
     Downdate makeDowndate(const SparseLdltSolver &base,
                           const std::vector<int> &removed,
                           const std::vector<double> &removed_r) const;
-    void solveReduced(const SparseLdltSolver &base, const Downdate &dd,
-                      std::vector<double> &x) const;
     template <int W>
     void solveReducedBatch(const SparseLdltSolver &base,
                            const Downdate &dd, double *x) const;
-    template <int W>
-    void transientWindowLockstep(const WindowSpec *windows,
+    template <class Window>
+    void transientWindowChunks(const Window *windows, int count,
+                               std::size_t cycles, int warmup,
+                               bool keep_trace, NoiseResult *out) const;
+    template <int W, class Window>
+    void transientWindowLockstep(const Window *windows,
                                  std::size_t cycles, int warmup,
                                  bool keep_trace,
                                  NoiseResult *out) const;

@@ -47,11 +47,14 @@ struct SimConfig
     /**
      * Lockstep lanes of the batched transient kernel: a domain's
      * noise windows of one epoch advance through the shared
-     * factorisation up to this many at a time (1 = scalar window
-     * solves; clamped to pdn::DomainPdn::kMaxWindowBatch). Purely a
-     * throughput knob — results are bit-identical at every width.
+     * factorisation up to this many at a time (1 = single-lane
+     * lockstep; clamped to pdn::DomainPdn::kMaxWindowBatch). Purely
+     * a throughput knob — results are bit-identical at every width.
+     * The default 8 is the widest kernel and the cheapest per window;
+     * separable windows keep a queued window at 2 x nodeCount
+     * currents, so the wider queue costs next to no memory.
      */
-    int noiseBatchWidth = 4;
+    int noiseBatchWidth = 8;
 
     /**
      * Coalesce noise windows across consecutive epochs whose gating

@@ -269,54 +269,65 @@ Simulation::noiseBatchWidth() const
 }
 
 void
-Simulation::buildNoiseWindowInto(int domain, long epoch, int sample,
-                                 const std::vector<Watts> &block_power,
-                                 double didt, std::uint64_t run_seed,
-                                 NoiseScratch &scratch,
-                                 std::uint64_t power_stamp,
-                                 Amperes *dst) const
+Simulation::noiseBaseInto(int domain,
+                          const std::vector<Watts> &block_power,
+                          NoiseScratch &scratch,
+                          std::uint64_t power_stamp) const
 {
+    if (scratch.stamp == power_stamp && !scratch.baseLogic.empty())
+        return;
     const auto &plan = chipRef.plan;
     const auto &pdn = *pdns[static_cast<std::size_t>(domain)];
     const auto &dom = plan.domains()[static_cast<std::size_t>(domain)];
 
     // Split the domain's power into logic and memory groups (they
     // fluctuate with different depths) and project each onto the PDN
-    // nodes. The split depends only on the power vector, so repeated
-    // windows against the same power reuse the cached base currents.
-    if (scratch.stamp != power_stamp || scratch.baseLogic.empty()) {
-        scratch.pLogic.assign(block_power.size(), 0.0);
-        scratch.pMem.assign(block_power.size(), 0.0);
-        for (int b : dom.blocks) {
-            std::size_t ub = static_cast<std::size_t>(b);
-            if (floorplan::isLogicUnit(plan.blocks()[ub].kind))
-                scratch.pLogic[ub] = block_power[ub];
-            else
-                scratch.pMem[ub] = block_power[ub];
-        }
-        pdn.nodeCurrentsInto(scratch.pLogic, scratch.baseLogic);
-        pdn.nodeCurrentsInto(scratch.pMem, scratch.baseMem);
-        scratch.stamp = power_stamp;
+    // nodes.
+    scratch.pLogic.assign(block_power.size(), 0.0);
+    scratch.pMem.assign(block_power.size(), 0.0);
+    for (int b : dom.blocks) {
+        std::size_t ub = static_cast<std::size_t>(b);
+        if (floorplan::isLogicUnit(plan.blocks()[ub].kind))
+            scratch.pLogic[ub] = block_power[ub];
+        else
+            scratch.pMem[ub] = block_power[ub];
     }
-    const auto &base_logic = scratch.baseLogic;
-    const auto &base_mem = scratch.baseMem;
+    pdn.nodeCurrentsInto(scratch.pLogic, scratch.baseLogic);
+    pdn.nodeCurrentsInto(scratch.pMem, scratch.baseMem);
+    scratch.stamp = power_stamp;
+}
 
-    int cycles = cfg.noiseCyclesTotal;
+void
+Simulation::stageNoiseLane(int domain, int lane, long epoch, int sample,
+                           double didt, std::uint64_t run_seed,
+                           const Amperes *a, const Amperes *b,
+                           NoiseScratch &scratch) const
+{
+    const std::size_t cycles =
+        static_cast<std::size_t>(cfg.noiseCyclesTotal);
+    // Sized for a full chunk up front: lanes staged earlier in the
+    // chunk keep pointing into the buffer.
+    const std::size_t uw = static_cast<std::size_t>(noiseBatchWidth());
+    if (scratch.laneMult.size() < uw * 2 * cycles)
+        scratch.laneMult.resize(uw * 2 * cycles);
+    if (scratch.lanes.size() < uw)
+        scratch.lanes.resize(uw);
+
     Rng rng(mixSeed(mixSeed(run_seed, static_cast<std::uint64_t>(
                                           epoch * 1315423911ll)),
                     mixSeed(static_cast<std::uint64_t>(sample),
                             static_cast<std::uint64_t>(domain))));
-    workload::synthesizeCycleMultipliersInto(
-        didt, static_cast<std::size_t>(cycles), rng, scratch.mult);
-
-    std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
-    for (int c = 0; c < cycles; ++c) {
-        double ml = scratch.mult[static_cast<std::size_t>(c)];
-        double mm = 1.0 + 0.35 * (ml - 1.0);  // caches swing less
-        Amperes *row = dst + static_cast<std::size_t>(c) * n;
-        for (std::size_t i = 0; i < n; ++i)
-            row[i] = base_logic[i] * ml + base_mem[i] * mm;
+    workload::synthesizeCycleMultipliersInto(didt, cycles, rng,
+                                             scratch.mult);
+    double *ma = scratch.laneMult.data() +
+                 static_cast<std::size_t>(lane) * 2 * cycles;
+    double *mb = ma + cycles;
+    for (std::size_t c = 0; c < cycles; ++c) {
+        double ml = scratch.mult[c];
+        ma[c] = ml;
+        mb[c] = 1.0 + 0.35 * (ml - 1.0);  // caches swing less
     }
+    scratch.lanes[static_cast<std::size_t>(lane)] = {a, b, ma, mb};
 }
 
 bool
@@ -328,32 +339,23 @@ Simulation::epochEmergencyTruth(int domain, long epoch,
                                 std::uint64_t power_stamp) const
 {
     const auto &pdn = *pdns[static_cast<std::size_t>(domain)];
-    std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
     std::size_t cycles =
         static_cast<std::size_t>(cfg.noiseCyclesTotal);
-    std::size_t win = cycles * n;
     int width = noiseBatchWidth();
     int k = static_cast<int>(samples.size());
-    std::size_t uw = static_cast<std::size_t>(width);
-    if (scratch.queue.size() < uw * win)
-        scratch.queue.resize(uw * win);
-    if (scratch.specs.size() < uw)
-        scratch.specs.resize(uw);
-    if (scratch.results.size() < uw)
-        scratch.results.resize(uw);
+    if (scratch.results.size() < static_cast<std::size_t>(width))
+        scratch.results.resize(static_cast<std::size_t>(width));
+    // Every truth window of the epoch shares one power vector, so the
+    // lanes share its base currents.
+    noiseBaseInto(domain, block_power, scratch, power_stamp);
     for (int q0 = 0; q0 < k; q0 += width) {
         int cnt = std::min(width, k - q0);
-        for (int j = 0; j < cnt; ++j) {
-            Amperes *dst =
-                scratch.queue.data() + static_cast<std::size_t>(j) * win;
-            buildNoiseWindowInto(domain, epoch,
-                                 samples[static_cast<std::size_t>(
-                                     q0 + j)],
-                                 block_power, didt, run_seed, scratch,
-                                 power_stamp, dst);
-            scratch.specs[static_cast<std::size_t>(j)] = {dst, n};
-        }
-        pdn.transientWindowBatch(scratch.specs.data(), cnt, cycles,
+        for (int j = 0; j < cnt; ++j)
+            stageNoiseLane(domain, j, epoch,
+                           samples[static_cast<std::size_t>(q0 + j)],
+                           didt, run_seed, scratch.baseLogic.data(),
+                           scratch.baseMem.data(), scratch);
+        pdn.transientWindowBatch(scratch.lanes.data(), cnt, cycles,
                                  cfg.noiseWarmupCycles, false,
                                  scratch.results.data());
         for (int j = 0; j < cnt; ++j)
@@ -506,8 +508,9 @@ Simulation::runMixed(
     // --- Infrastructure -------------------------------------------------
     // Noise windows are independent across domains (per-domain PDN
     // scratch, per-domain NoiseScratch, RNG streams keyed by
-    // (run_seed, epoch, sample, domain)), so window synthesis and the
-    // end-of-epoch batched drain fan out across a long-lived pool.
+    // (run_seed, epoch, sample, domain)), so the batched drain and the
+    // truth windows — multiplier synthesis and solves — fan out across
+    // a long-lived pool.
     // Results are reduced serially in (sample, domain) order, so any
     // worker count is bit-identical to the serial path. Sweep workers
     // (already on a pool thread) stay serial instead of
@@ -657,10 +660,10 @@ Simulation::runMixed(
     }
 
     // --- Noise queue flush/drain ----------------------------------------
-    // The queue of built-but-unsolved windows (one buffer per domain,
-    // indexed by the shared noiseQueue) drains in two stages.
-    // flush_domain(d) solves d's pending windows in lockstep chunks —
-    // called early when d's active set is about to change, so the
+    // The queue of captured-but-unsolved windows (one base-vector
+    // buffer per domain, indexed by the shared noiseQueue) drains in
+    // two stages. flush_domain(d) synthesises the multipliers of d's
+    // pending windows and solves them in lockstep chunks — called early when d's active set is about to change, so the
     // solves still run under the factorisation the windows were
     // scheduled against. drain_all() completes every domain's solves
     // and reduces all results serially in global (sample, domain)
@@ -685,6 +688,20 @@ Simulation::runMixed(
         return kit;
     };
 
+    // Runs fn(d) for every domain: one task per domain on the noise
+    // pool when there is one, else inline in domain order. Callers
+    // touch only domain d's PDN, scratch and per-domain state.
+    auto for_each_domain = [&](auto &&fn) {
+        if (noisePool) {
+            exec::parallelForOn(*noisePool,
+                                static_cast<std::size_t>(n_domains),
+                                [&](int, std::size_t d) { fn(d); });
+        } else {
+            for (int d = 0; d < n_domains; ++d)
+                fn(static_cast<std::size_t>(d));
+        }
+    };
+
     auto flush_domain = [&](int d) {
         auto &sc = noiseScratch[static_cast<std::size_t>(d)];
         const int k = static_cast<int>(noiseQueue.size());
@@ -692,38 +709,32 @@ Simulation::runMixed(
             return;
         const auto &pdn = *pdns[static_cast<std::size_t>(d)];
         std::size_t n = static_cast<std::size_t>(pdn.nodeCount());
-        std::size_t win = win_cycles * n;
         std::size_t uk = static_cast<std::size_t>(k);
-        if (sc.specs.size() < uk)
-            sc.specs.resize(uk);
         if (sc.results.size() < uk)
             sc.results.resize(uk);
-        for (int q = static_cast<int>(sc.solved); q < k; ++q)
-            sc.specs[static_cast<std::size_t>(q)] = {
-                sc.queue.data() + static_cast<std::size_t>(q) * win,
-                n};
+        const double didt = domain_didt(d);
         for (int q0 = static_cast<int>(sc.solved); q0 < k;
-             q0 += width)
-            pdn.transientWindowBatch(
-                sc.specs.data() + q0, std::min(width, k - q0),
-                win_cycles, cfg.noiseWarmupCycles, want_trace,
-                sc.results.data() + q0);
+             q0 += width) {
+            int cnt = std::min(width, k - q0);
+            for (int j = 0; j < cnt; ++j) {
+                std::size_t q = static_cast<std::size_t>(q0 + j);
+                const Amperes *base = sc.queue.data() + q * 2 * n;
+                stageNoiseLane(d, j, noiseQueue[q].epoch,
+                               noiseQueue[q].sample, didt, run_seed,
+                               base, base + n, sc);
+            }
+            pdn.transientWindowBatch(sc.lanes.data(), cnt, win_cycles,
+                                     cfg.noiseWarmupCycles, want_trace,
+                                     sc.results.data() + q0);
+        }
         sc.solved = uk;
     };
 
     auto drain_all = [&]() {
         if (noiseQueue.empty())
             return;
-        if (noisePool) {
-            exec::parallelForOn(
-                *noisePool, static_cast<std::size_t>(n_domains),
-                [&](int, std::size_t d) {
-                    flush_domain(static_cast<int>(d));
-                });
-        } else {
-            for (int d = 0; d < n_domains; ++d)
-                flush_domain(d);
-        }
+        for_each_domain(
+            [&](std::size_t d) { flush_domain(static_cast<int>(d)); });
         const int k = static_cast<int>(noiseQueue.size());
         for (int q = 0; q < k; ++q) {
             int em_max = 0;
@@ -808,7 +819,7 @@ Simulation::runMixed(
             const bool truth_epoch = core::hasEmergencyOverride(policy) &&
                                      !epoch_samples.empty();
             // Emergency-truth epochs re-key the factorisation and
-            // reuse the queue buffers, so coalesced windows from
+            // reuse the lane and result buffers, so coalesced windows from
             // earlier epochs must fully drain first (the flush rule's
             // "decision boundary" case). Epochs without truth windows
             // keep their queues pending.
@@ -869,7 +880,9 @@ Simulation::runMixed(
             // their own PDN, scratch and flag, so the windows fan out
             // across the noise pool. (3) Apply, serially in domain
             // order: the alert, the override re-decision and the
-            // PDN/activity update. The split is bit-invisible:
+            // activity update; then the domains whose selection
+            // changed re-key their PDNs, again one task per domain.
+            // The split is bit-invisible:
             // predictor draws are keyed by (domain, decision), alert
             // faults by (decision, event), truth windows by (run_seed,
             // epoch, sample, domain), policies are stateless and the
@@ -950,12 +963,12 @@ Simulation::runMixed(
             // The queue is empty here — the decision-boundary drain
             // (coalescing) or the previous epoch's drain solved every
             // pending window — so re-keying a PDN strands nothing, and
-            // the truth windows reuse the queue buffers from offset 0.
+            // the truth windows reuse the result buffers from offset 0.
             if (truth_epoch) {
                 TG_ASSERT(noiseQueue.empty(),
                           "truth windows would overwrite queued "
                           "noise windows");
-                auto truth_domain = [&](std::size_t d) {
+                for_each_domain([&](std::size_t d) {
                     auto &de = domainEpoch[d];
                     auto &pdn = *pdns[d];
                     if (de.decision.active != pdn.active())
@@ -964,22 +977,15 @@ Simulation::runMixed(
                         static_cast<int>(d), e, epoch_samples,
                         mean_power, de.st.didt, run_seed,
                         noiseScratch[d], mean_stamp);
-                };
-                if (noisePool) {
-                    exec::parallelForOn(
-                        *noisePool, static_cast<std::size_t>(n_domains),
-                        [&](int, std::size_t d) { truth_domain(d); });
-                } else {
-                    for (int d = 0; d < n_domains; ++d)
-                        truth_domain(static_cast<std::size_t>(d));
-                }
+                });
             }
 
             // ---- Phase 3: apply -----------------------------------------
+            bool any_rekey = false;
             for (int d = 0; d < n_domains; ++d) {
                 const auto &dom =
                     domains[static_cast<std::size_t>(d)];
-                auto &pdn = *pdns[static_cast<std::size_t>(d)];
+                const auto &pdn = *pdns[static_cast<std::size_t>(d)];
                 auto &de = domainEpoch[static_cast<std::size_t>(d)];
                 core::Decision &decision = de.decision;
                 if (truth_epoch) {
@@ -998,20 +1004,36 @@ Simulation::runMixed(
 
                 active_sets[static_cast<std::size_t>(d)] =
                     decision.active;
-                // Unchanged selections keep the cached factorisation
-                // AND any coalesced windows pending against it; a
-                // change solves this domain's pending windows under
-                // the outgoing set before re-keying.
-                if (decision.active != pdn.active()) {
-                    flush_domain(d);
-                    pdn.setActive(decision.active);
-                }
+                any_rekey = any_rekey || decision.active != pdn.active();
                 governor.recordActivity(
                     d, decision.active,
                     static_cast<int>(dom.vrs.size()),
                     static_cast<double>(f1 - f0) * dt);
             }
             res.overrideCount = governor.overrideCount();
+            // Re-key the domains whose selection changed. Unchanged
+            // selections keep the cached factorisation AND any
+            // coalesced windows pending against it; a change solves
+            // the domain's pending windows under the outgoing set
+            // first. Policies read only their own domain's PDN, so
+            // re-keying after every domain's decision is the same as
+            // re-keying after each, and the re-keys can fan out. They
+            // do only when windows are queued: a bare setActive() is
+            // cheaper than a pool hand-off.
+            auto rekey = [&](std::size_t d) {
+                auto &pdn = *pdns[d];
+                const auto &active = domainEpoch[d].decision.active;
+                if (active != pdn.active()) {
+                    flush_domain(static_cast<int>(d));
+                    pdn.setActive(active);
+                }
+            };
+            if (any_rekey && noiseQueue.empty()) {
+                for (int d = 0; d < n_domains; ++d)
+                    rekey(static_cast<std::size_t>(d));
+            } else if (any_rekey) {
+                for_each_domain(rekey);
+            }
 
             // Policy-consistent warm start: the ROI is entered from
             // preceding execution under the same gating policy, so
@@ -1187,57 +1209,38 @@ Simulation::runMixed(
             }
 
             // ---- Noise windows scheduled at this frame -------------
-            // Each window's load waveform is synthesised HERE, against
-            // this frame's block power, but its transient solve is
-            // deferred to the end-of-epoch batched drain below (the
-            // active set only changes at epoch decisions, so the
-            // deferred solves run against the same factorisation the
-            // immediate ones did).
+            // A window's load is fixed HERE, against this frame's
+            // block power: the frame captures each domain's two base
+            // vectors, and the multipliers and the transient solve
+            // follow in the batched drain below (the active set only
+            // changes at epoch decisions, so the deferred solves run
+            // against the same factorisation the immediate ones did).
             if (!off_chip) {
-                std::size_t cycles =
-                    static_cast<std::size_t>(cfg.noiseCyclesTotal);
                 for (int s :
                      samples_of_epoch[static_cast<std::size_t>(e)]) {
                     if (sample_frame[static_cast<std::size_t>(s)] !=
                         static_cast<int>(f))
                         continue;
                     std::size_t q = noiseQueue.size();
-                    noiseQueue.push_back({s, now * 1e6,
+                    noiseQueue.push_back({s, e, now * 1e6,
                                           epoch_faulted});
-                    // Synthesis is concurrent across domains; each
-                    // worker touches only its own domain's scratch,
-                    // and the RNG stream is a pure function of
-                    // (run_seed, epoch, sample, domain).
-                    auto build_domain = [&](std::size_t d) {
-                        const auto &pdn = *pdns[d];
-                        auto &sc = noiseScratch[d];
-                        std::size_t win =
-                            cycles * static_cast<std::size_t>(
-                                         pdn.nodeCount());
-                        if (sc.queue.size() < (q + 1) * win)
-                            sc.queue.resize((q + 1) * win);
-                        buildNoiseWindowInto(
-                            static_cast<int>(d), e, s, block_power,
-                            domain_didt(static_cast<int>(d)),
-                            run_seed, sc, frame_stamp,
-                            sc.queue.data() + q * win);
-                    };
-                    if (noisePool) {
-                        exec::parallelForOn(
-                            *noisePool,
-                            static_cast<std::size_t>(n_domains),
-                            [&](int, std::size_t d) {
-                                build_domain(d);
-                            });
-                    } else {
-                        for (int d = 0; d < n_domains; ++d)
-                            build_domain(static_cast<std::size_t>(d));
+                    for (int d = 0; d < n_domains; ++d) {
+                        auto &sc =
+                            noiseScratch[static_cast<std::size_t>(d)];
+                        std::size_t n = static_cast<std::size_t>(
+                            pdns[static_cast<std::size_t>(d)]
+                                ->nodeCount());
+                        if (sc.queue.size() < (q + 1) * 2 * n)
+                            sc.queue.resize((q + 1) * 2 * n);
+                        noiseBaseInto(d, block_power, sc, frame_stamp);
+                        Amperes *dst = sc.queue.data() + q * 2 * n;
+                        std::copy(sc.baseLogic.begin(),
+                                  sc.baseLogic.end(), dst);
+                        std::copy(sc.baseMem.begin(), sc.baseMem.end(),
+                                  dst + n);
                     }
                     // Width cap: coalescing never queues more than
-                    // one full lockstep dispatch, bounding the
-                    // window buffers at width * windowSize per
-                    // domain (the per-epoch path's high-water mark
-                    // is the densest epoch instead).
+                    // one full lockstep dispatch.
                     if (coalesce &&
                         static_cast<int>(noiseQueue.size()) >= width)
                         drain_all();

@@ -138,18 +138,25 @@ class Simulation
     void calibrateThetas();
 
     /**
-     * Per-domain reusable buffers of the noise sampler. The
-     * logic/memory base-current split depends only on the block-power
-     * vector, so it is cached and keyed by `powerStamp`: repeated
-     * windows against the same power (the emergency ground-truth loop,
+     * Per-domain reusable buffers of the noise sampler. A noise
+     * window's load is separable: baseLogic * m(c) + baseMem *
+     * (1 + 0.35 (m(c) - 1)) per node and cycle, so no window is ever
+     * stored as cycles x nodeCount currents. The logic/memory
+     * base-current split depends only on the block-power vector, so
+     * it is cached and keyed by `powerStamp`: repeated windows
+     * against the same power (the emergency ground-truth loop,
      * multiple samples in one frame) skip the recompute. One scratch
-     * per domain also makes the per-sample fan-out across domains
-     * race-free without locks.
+     * per domain also makes the per-domain tasks race-free without
+     * locks.
      *
-     * `queue` holds built-but-unsolved windows back-to-back (window q
-     * at offset q * cycles * nodeCount): each window is synthesised
-     * at its scheduled frame, against that frame's block power, and
-     * drains through the PDN's lockstep transientWindowBatch() later.
+     * `queue` holds the base-vector pair of every queued window
+     * (window q's logic vector at offset 2 q nodeCount, its memory
+     * vector right after), captured at the scheduled frame against
+     * that frame's block power. The multipliers are synthesised only
+     * when the window is solved, one lockstep chunk at a time, into
+     * `laneMult` (lane j's m and memory sequences at offset
+     * 2 j cycles); the RNG stream is keyed by (run_seed, epoch,
+     * sample, domain), so when that happens does not change the bits.
      * With cfg.coalesceNoiseEpochs the queue rides across epochs
      * whose decision left the domain's active set unchanged, so
      * rarely-gating policies fill maximally wide lanes; `solved`
@@ -166,9 +173,10 @@ class Simulation
         std::vector<Watts> pMem;          //!< domain memory power
         std::vector<Amperes> baseLogic;   //!< node currents, logic
         std::vector<Amperes> baseMem;     //!< node currents, memory
-        std::vector<double> mult;         //!< cycle multipliers
-        std::vector<Amperes> queue;       //!< queued window buffers
-        std::vector<pdn::DomainPdn::WindowSpec> specs; //!< batch views
+        std::vector<double> mult;         //!< one multiplier draw
+        std::vector<Amperes> queue;       //!< queued base-vector pairs
+        std::vector<double> laneMult;     //!< per-lane multipliers
+        std::vector<pdn::DomainPdn::SeparableWindow> lanes; //!< chunk
         std::vector<pdn::NoiseResult> results; //!< per-window results
         std::size_t solved = 0; //!< windows already solved (flushes)
     };
@@ -177,6 +185,7 @@ class Simulation
     struct QueuedNoiseSample
     {
         int sample = 0;     //!< global sample index
+        long epoch = 0;     //!< scheduling epoch (RNG key)
         double timeUs = 0.0; //!< scheduled frame time [us] (traces)
         bool faulted = false; //!< scheduling epoch had active faults
     };
@@ -219,8 +228,8 @@ class Simulation
     std::uint64_t powerStamp = 0;  //!< bumped per power recompute
 
     /**
-     * Pool for the per-sample noise fan-out across domains; created
-     * lazily on first use, only on threads that are not already pool
+     * Pool for the per-domain noise work (window drains, truth
+     * windows, re-key flushes); created lazily on first use, only on threads that are not already pool
      * workers (sweep workers stay serial instead of oversubscribing).
      */
     std::unique_ptr<exec::ThreadPool> noisePool;
@@ -229,18 +238,25 @@ class Simulation
     int noiseBatchWidth() const;
 
     /**
-     * Synthesise the load waveform of noise window (epoch, sample)
-     * for `domain` into `dst` (noiseCyclesTotal x nodeCount rows).
-     * The waveform is seeded independently of the policy so all
-     * policies see the same workload; `power_stamp` identifies the
-     * content of `block_power` for the scratch's base-current cache.
+     * Refresh `scratch`'s logic/memory base currents of `domain` for
+     * `block_power`, unless `power_stamp` says they already match.
      */
-    void buildNoiseWindowInto(int domain, long epoch, int sample,
-                              const std::vector<Watts> &block_power,
-                              double didt, std::uint64_t run_seed,
-                              NoiseScratch &scratch,
-                              std::uint64_t power_stamp,
-                              Amperes *dst) const;
+    void noiseBaseInto(int domain, const std::vector<Watts> &block_power,
+                       NoiseScratch &scratch,
+                       std::uint64_t power_stamp) const;
+
+    /**
+     * Stage lane `lane` of the next lockstep chunk: synthesise the
+     * cycle multipliers of noise window (epoch, sample) for `domain`
+     * into scratch.laneMult and point scratch.lanes[lane] at them and
+     * at the base currents (a, b). The waveform is seeded
+     * independently of the policy, so all policies see the same
+     * workload.
+     */
+    void stageNoiseLane(int domain, int lane, long epoch, int sample,
+                        double didt, std::uint64_t run_seed,
+                        const Amperes *a, const Amperes *b,
+                        NoiseScratch &scratch) const;
 
     /**
      * Ground truth for the emergency-override path: would `domain`'s

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -28,13 +29,29 @@
 namespace {
 
 std::atomic<long> g_allocCount{0};
+std::atomic<std::size_t> g_allocMax{0};  //!< largest single request
+
+// Out of line: an inlined CAS loop keeps GCC from inlining the
+// replaced operator new, and it then flags the free() in the inlined
+// operator delete as a mismatched deallocation.
+[[gnu::noinline]] void
+noteAlloc(std::size_t size)
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    std::size_t seen = g_allocMax.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_allocMax.compare_exchange_weak(seen, size,
+                                             std::memory_order_relaxed))
+    {
+    }
+}
 
 } // namespace
 
 void *
 operator new(std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    noteAlloc(size);
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -43,7 +60,7 @@ operator new(std::size_t size)
 void *
 operator new[](std::size_t size)
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    noteAlloc(size);
     if (void *p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -54,14 +71,14 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    noteAlloc(size);
     return std::malloc(size);
 }
 
 void *
 operator new[](std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    noteAlloc(size);
     return std::malloc(size);
 }
 
@@ -178,7 +195,7 @@ TEST(RunDeterminism, SerialAndPooledNoiseWindowsBitIdentical)
 TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
 {
     // The lockstep batching of a domain's per-epoch noise windows is
-    // a pure throughput knob: widths 1 (scalar solves), 2, 4 and 8
+    // a pure throughput knob: widths 1 (single-lane), 2, 4 and 8
     // must produce bit-identical RunResults, at any worker count.
     auto chip = floorplan::buildMiniChip(2);
     SimConfig base = miniConfig(1);
@@ -280,7 +297,7 @@ TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
     auto mini_chip = floorplan::buildMiniChip(2);
     auto p8_chip = floorplan::buildPower8Chip();
     for (int jobs : {1, 4}) {
-        for (int width : {1, 4}) {
+        for (int width : {1, 4, 8}) {
             SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                          " width=" + std::to_string(width));
             SimConfig mini_cfg = miniConfig(jobs);
@@ -386,6 +403,21 @@ TEST(AllocationDiscipline, WarmKernelPrimitivesDoNotAllocate)
         {window.data(), static_cast<std::size_t>(pdn.nodeCount())}};
     pdn::NoiseResult batch_out[4];
     pdn.transientWindowBatch(specs, 4, 256, 64, false, batch_out);
+    // Separable kernel warm-up: 8 lanes over one base pair and the
+    // run loop's two multiplier sequences sizes its n x W base
+    // interleave as well.
+    std::vector<double> damped(256);
+    auto damp = [&] {
+        for (std::size_t c = 0; c < 256; ++c)
+            damped[c] = 1.0 + 0.35 * (mult[c] - 1.0);
+    };
+    damp();
+    pdn::DomainPdn::SeparableWindow sep[8];
+    for (auto &w : sep)
+        w = {currents.data(), currents.data(), mult.data(),
+             damped.data()};
+    pdn::NoiseResult sep_out[8];
+    pdn.transientWindowBatch(sep, 8, 256, 64, false, sep_out);
 
     long before = g_allocCount.load(std::memory_order_relaxed);
     for (int it = 0; it < 3; ++it) {
@@ -399,6 +431,8 @@ TEST(AllocationDiscipline, WarmKernelPrimitivesDoNotAllocate)
                             static_cast<std::size_t>(pdn.nodeCount()),
                             64);
         pdn.transientWindowBatch(specs, 4, 256, 64, false, batch_out);
+        damp();
+        pdn.transientWindowBatch(sep, 8, 256, 64, false, sep_out);
     }
     long after = g_allocCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0)
@@ -443,6 +477,43 @@ TEST(AllocationDiscipline, WarmRunAllocationsAreBounded)
             << "warm run allocated " << (after - before)
             << " times over " << n_frames << " frames";
     }
+}
+
+TEST(AllocationDiscipline, RunLoopAllocatesNoFullWindowBuffer)
+{
+    // Noise windows are separable: the run loop keeps two base-current
+    // vectors per queued window and one chunk's multiplier sequences,
+    // never a cycles x nodeCount load buffer. A fresh Simulation's
+    // first run sizes every noise buffer, so its largest single heap
+    // request must stay below one full window of the smallest domain,
+    // at the default batch width and with emergency-truth windows.
+    auto chip = floorplan::buildPower8Chip();
+    SimConfig cfg;
+    cfg.jobs = 2;
+    const auto &profile = workload::profileByName("barnes");
+    {
+        // Fills the artifact store (power trace, predictor, PDN base
+        // factors), so the measured run below is the run loop alone.
+        Simulation warm(chip, cfg);
+        warm.run(profile, core::PolicyKind::PracVT);
+    }
+    Simulation s(chip, cfg);
+    std::size_t min_nodes = static_cast<std::size_t>(-1);
+    for (std::size_t d = 0; d < chip.plan.domains().size(); ++d)
+        min_nodes = std::min(
+            min_nodes, static_cast<std::size_t>(
+                           s.domainPdn(static_cast<int>(d)).nodeCount()));
+    const std::size_t window_bytes =
+        sizeof(Amperes) * min_nodes *
+        static_cast<std::size_t>(cfg.noiseCyclesTotal);
+
+    g_allocMax.store(0, std::memory_order_relaxed);
+    s.run(profile, core::PolicyKind::PracVT);
+    std::size_t largest = g_allocMax.load(std::memory_order_relaxed);
+    EXPECT_LT(largest, window_bytes)
+        << "a run-loop allocation of " << largest
+        << " bytes reaches one full noise window (" << window_bytes
+        << " bytes)";
 }
 
 } // namespace

@@ -2,12 +2,15 @@
  * @file
  * Bit-identity tests of the lockstep batching layer: DoubleBatch lane
  * semantics, the batched/multi-RHS sparse solves against the scalar
- * solver, and DomainPdn::transientWindowBatch against the scalar
- * transient window — all compared with EXPECT_EQ on doubles, because
- * the batched paths promise the *same bits*, not just the same values.
+ * solver, DomainPdn::transientWindowBatch at every chunking against
+ * single-lane windows, and separable windows against the same loads
+ * passed as full buffers — all compared with EXPECT_EQ on doubles,
+ * because the batched paths promise the *same bits*, not just the
+ * same values.
  */
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "floorplan/power8.hh"
 #include "pdn/domain_pdn.hh"
 #include "vreg/design.hh"
+#include "workload/cycles.hh"
 
 namespace tg {
 namespace {
@@ -238,12 +242,86 @@ class WindowBatchTest : public ::testing::Test
         return win;
     }
 
+    /** A separable window: two base vectors and their multipliers. */
+    struct Separable
+    {
+        std::vector<Amperes> a, b;
+        std::vector<double> ma, mb;
+
+        pdn::DomainPdn::SeparableWindow
+        view() const
+        {
+            return {a.data(), b.data(), ma.data(), mb.data()};
+        }
+    };
+
+    /**
+     * Separable window w, shaped like the run loop's noise windows: a
+     * synthesised multiplier sequence on a "logic" base and the
+     * damped 1 + 0.35 (m - 1) sequence on a "memory" base. Odd
+     * windows add a load step at midway. Every third window carries
+     * no load at two nodes in either base, so a lane's cycle-0 load
+     * there is +0.0 and its initial-condition rhs the negated -0.0,
+     * in both window forms.
+     */
+    Separable
+    makeSeparable(int w, std::size_t cycles) const
+    {
+        Separable s;
+        s.a = domainLoad(0.5 + 0.09 * w);
+        s.b = domainLoad(0.2 + 0.04 * w);
+        if (w % 3 == 0) {
+            std::size_t n = s.a.size();
+            for (std::size_t i : {std::size_t{0}, n / 2}) {
+                s.a[i] = 0.0;
+                s.b[i] = 0.0;
+            }
+        }
+        Rng rng(mixSeed(0x5e9a7u, static_cast<std::uint64_t>(w)));
+        s.ma = workload::synthesizeCycleMultipliers(0.3 + 0.04 * w,
+                                                    cycles, rng);
+        s.mb.resize(cycles);
+        for (std::size_t c = 0; c < cycles; ++c) {
+            if (w % 2 == 1 && c >= cycles / 2)
+                s.ma[c] *= 2.5;
+            s.mb[c] = 1.0 + 0.35 * (s.ma[c] - 1.0);
+        }
+        return s;
+    }
+
+    /** The full cycles x nodeCount buffer of a separable window. */
+    std::vector<Amperes>
+    fill(const Separable &s) const
+    {
+        std::size_t n = static_cast<std::size_t>(dp.nodeCount());
+        std::vector<Amperes> win(s.ma.size() * n);
+        for (std::size_t c = 0; c < s.ma.size(); ++c)
+            for (std::size_t i = 0; i < n; ++i)
+                win[c * n + i] = s.a[i] * s.ma[c] + s.b[i] * s.mb[c];
+        return win;
+    }
+
+    static void
+    expectSameResult(const pdn::NoiseResult &got,
+                     const pdn::NoiseResult &ref, const std::string &what)
+    {
+        EXPECT_EQ(got.maxNoiseFrac, ref.maxNoiseFrac) << what;
+        EXPECT_EQ(got.emergencyCycles, ref.emergencyCycles) << what;
+        EXPECT_EQ(got.analysedCycles, ref.analysedCycles) << what;
+        ASSERT_EQ(got.trace.size(), ref.trace.size()) << what;
+        for (std::size_t c = 0; c < ref.trace.size(); ++c)
+            ASSERT_EQ(got.trace[c], ref.trace[c])
+                << what << " cycle " << c;
+    }
+
     floorplan::Chip chip;
     pdn::DomainPdn dp;
 };
 
 TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
 {
+    // The reference is the single-lane window (the W = 1 lockstep
+    // kernel), so every 8/4/2 chunking must reproduce it.
     const std::size_t cycles = 160;
     const int warmup = 40;
     std::size_t n = static_cast<std::size_t>(dp.nodeCount());
@@ -311,6 +389,89 @@ TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
     }
 }
 
+TEST_F(WindowBatchTest, SeparableMatchesFullBufferAtEveryCount)
+{
+    // Counts 1..17 hit every 8/4/2/1 chunking, including two full
+    // width-8 chunks plus a single-lane tail. Both forms of each
+    // window must give the same bits, traces included.
+    const std::size_t cycles = 150;
+    const int warmup = 40;
+    std::size_t n = static_cast<std::size_t>(dp.nodeCount());
+    std::vector<Separable> seps;
+    std::vector<std::vector<Amperes>> fulls;
+    for (int w = 0; w < 17; ++w) {
+        seps.push_back(makeSeparable(w, cycles));
+        fulls.push_back(fill(seps.back()));
+    }
+
+    int emergencies = 0;
+    for (int count = 1; count <= 17; ++count) {
+        std::vector<pdn::DomainPdn::SeparableWindow> sep_specs;
+        std::vector<pdn::DomainPdn::WindowSpec> full_specs;
+        for (int w = 0; w < count; ++w) {
+            sep_specs.push_back(seps[static_cast<std::size_t>(w)].view());
+            full_specs.push_back(
+                {fulls[static_cast<std::size_t>(w)].data(), n});
+        }
+        std::vector<pdn::NoiseResult> got(static_cast<std::size_t>(count));
+        std::vector<pdn::NoiseResult> ref(static_cast<std::size_t>(count));
+        dp.transientWindowBatch(sep_specs.data(), count, cycles, warmup,
+                                true, got.data());
+        dp.transientWindowBatch(full_specs.data(), count, cycles, warmup,
+                                true, ref.data());
+        for (int w = 0; w < count; ++w) {
+            expectSameResult(got[static_cast<std::size_t>(w)],
+                             ref[static_cast<std::size_t>(w)],
+                             "count " + std::to_string(count) +
+                                 " window " + std::to_string(w));
+            emergencies += ref[static_cast<std::size_t>(w)].emergencyCycles;
+        }
+    }
+    // The stepped windows cross the threshold, so the emergency
+    // counters are compared on non-trivial values.
+    EXPECT_GT(emergencies, 0);
+}
+
+TEST_F(WindowBatchTest, SeparableMatchesFullBufferOnWoodburySubsets)
+{
+    // Lanes 0 and 1 share base vectors, as a truth epoch's lanes do.
+    const std::size_t cycles = 120;
+    const int warmup = 30;
+    std::size_t n = static_cast<std::size_t>(dp.nodeCount());
+    std::vector<Separable> seps;
+    for (int w = 0; w < 7; ++w)
+        seps.push_back(makeSeparable(w, cycles));
+    seps[1].a = seps[0].a;
+    seps[1].b = seps[0].b;
+    std::vector<std::vector<Amperes>> fulls;
+    for (const auto &sp : seps)
+        fulls.push_back(fill(sp));
+
+    for (const auto &set :
+         std::vector<std::vector<int>>{{0, 4, 8}, {3}}) {
+        dp.setActive(set);
+        std::vector<pdn::DomainPdn::SeparableWindow> sep_specs;
+        std::vector<pdn::DomainPdn::WindowSpec> full_specs;
+        for (std::size_t w = 0; w < seps.size(); ++w) {
+            sep_specs.push_back(seps[w].view());
+            full_specs.push_back({fulls[w].data(), n});
+        }
+        sep_specs[1].a = sep_specs[0].a;
+        sep_specs[1].b = sep_specs[0].b;
+        int count = static_cast<int>(seps.size());
+        std::vector<pdn::NoiseResult> got(seps.size());
+        std::vector<pdn::NoiseResult> ref(seps.size());
+        dp.transientWindowBatch(sep_specs.data(), count, cycles, warmup,
+                                true, got.data());
+        dp.transientWindowBatch(full_specs.data(), count, cycles, warmup,
+                                true, ref.data());
+        for (std::size_t w = 0; w < seps.size(); ++w)
+            expectSameResult(got[w], ref[w],
+                             "set size " + std::to_string(set.size()) +
+                                 " window " + std::to_string(w));
+    }
+}
+
 TEST_F(WindowBatchTest, RepeatedBatchedWindowIsIdempotent)
 {
     // Scratch reuse across calls must not leak state between runs.
@@ -346,6 +507,12 @@ TEST_F(WindowBatchTest, DeathOnBadBatchInputs)
     EXPECT_DEATH(
         dp.transientWindowBatch(&bad, 1, 10, 2, false, &out),
         "stride");
+    auto sep = makeSeparable(0, 10);
+    pdn::DomainPdn::SeparableWindow no_mb = sep.view();
+    no_mb.mb = nullptr;
+    EXPECT_DEATH(
+        dp.transientWindowBatch(&no_mb, 1, 10, 2, false, &out),
+        "null source");
 }
 
 } // namespace
