@@ -97,30 +97,6 @@ BM_RunFrameLoopOnly(benchmark::State &state)
 }
 BENCHMARK(BM_RunFrameLoopOnly)->Unit(benchmark::kMillisecond);
 
-/**
- * Coalescing ablation: BM_RunAllOn with the cross-epoch noise queue
- * disabled, so every epoch drains its own windows in the (narrow)
- * per-epoch batches the pre-coalescing run loop used. AllOn never
- * changes active sets, making it the maximal-coalescing policy; the
- * gap between this and BM_RunAllOn is the cross-epoch batching win
- * at default width. Results are bit-identical either way.
- */
-void
-BM_RunAllOnUncoalesced(benchmark::State &state)
-{
-    static sim::Simulation s(sharedChip(), [] {
-        sim::SimConfig cfg;
-        cfg.coalesceNoiseEpochs = false;
-        return cfg;
-    }());
-    const auto &profile = workload::profileByName("fft");
-    for (auto _ : state) {
-        auto res = s.run(profile, core::PolicyKind::AllOn, {});
-        benchmark::DoNotOptimize(res.maxTmax);
-    }
-}
-BENCHMARK(BM_RunAllOnUncoalesced)->Unit(benchmark::kMillisecond);
-
 constexpr std::size_t kKernelCycles = 512;
 constexpr int kKernelWarmup = 128;
 

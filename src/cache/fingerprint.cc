@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "fault/scenario.hh"
 #include "floorplan/power8.hh"
@@ -155,69 +156,43 @@ Fingerprint chipFingerprint(const floorplan::Chip &chip)
     return h.digest();
 }
 
+namespace {
+
+/**
+ * Absorbs the Result-role fields of the SimConfig schema in visit
+ * order. PowerParams folds in as its own fingerprint, the key
+ * component the power-trace artifact also uses alone.
+ */
+struct KeyFields
+{
+    Hasher &h;
+
+    void powerParams(const power::PowerParams &p)
+    {
+        h.fp(powerParamsFingerprint(p));
+    }
+
+    template <class T>
+    void operator()(const char *, const T &v, sim::FieldRole role)
+    {
+        if (role != sim::FieldRole::Result)
+            return;
+        if constexpr (std::is_same_v<T, double>)
+            h.f64(v);
+        else if constexpr (std::is_same_v<T, std::string>)
+            h.str(v);
+        else // enums, bools, integers (ints sign-extend like i64())
+            h.u64(static_cast<std::uint64_t>(v));
+    }
+};
+
+} // namespace
+
 Fingerprint configFingerprint(const sim::SimConfig &cfg)
 {
     Hasher h;
     h.str("tg.config.v1");
-
-    h.u64(static_cast<std::uint64_t>(cfg.regulator))
-        .f64(cfg.decisionInterval)
-        .i64(cfg.noiseSamples)
-        .i64(cfg.noiseCyclesTotal)
-        .i64(cfg.noiseWarmupCycles)
-        .i64(cfg.profilingEpochs)
-        .f64(cfg.practicalDemandMargin)
-        .i64(cfg.practicalHeadroomVrs)
-        .u64(cfg.seed);
-    // Deliberately NOT hashed (bit-invisible, see header): jobs,
-    // noiseBatchWidth, coalesceNoiseEpochs, cacheDir, memoizeResults,
-    // pdnParams.factorCacheCapacity.
-
-    const thermal::ThermalParams &t = cfg.thermalParams;
-    h.i64(t.gridW)
-        .i64(t.gridH)
-        .i64(t.spreaderN)
-        .f64(t.dieThickness)
-        .f64(t.kSilicon)
-        .f64(t.cvSilicon)
-        .f64(t.timThickness)
-        .f64(t.kTim)
-        .f64(t.spreaderThickness)
-        .f64(t.kCopper)
-        .f64(t.cvCopper)
-        .f64(t.spreaderSide)
-        .f64(t.rConvection)
-        .f64(t.vrCouplingResistance)
-        .f64(t.ambient)
-        .f64(t.step);
-
-    h.fp(powerParamsFingerprint(cfg.powerParams));
-
-    const pdn::PdnParams &pd = cfg.pdnParams;
-    h.f64(pd.nodePitch)
-        .f64(pd.sheetResistance)
-        .f64(pd.decapPerMm2)
-        .f64(pd.gridInductancePerM)
-        .f64(pd.cycleTime)
-        .f64(pd.emergencyFrac);
-
-    const sensors::SensorParams &sn = cfg.sensorParams;
-    h.f64(sn.delay).f64(sn.quantization).f64(sn.noiseSigma);
-
-    const sensors::PredictorParams &pr = cfg.predictorParams;
-    h.f64(pr.sensitivity).f64(pr.falseAlarmRate);
-
-    const sensors::HealthParams &hl = cfg.healthParams;
-    h.f64(hl.minPlausible)
-        .f64(hl.maxPlausible)
-        .f64(hl.maxStep)
-        .f64(hl.freezeEps)
-        .i64(hl.freezeReads)
-        .f64(hl.freezeNeighbourMove)
-        .f64(hl.neighbourTolerance)
-        .f64(hl.readmitTolerance)
-        .i64(hl.readmitReads);
-
+    sim::visitConfig(cfg, KeyFields{h});
     return h.digest();
 }
 
@@ -225,19 +200,7 @@ Fingerprint powerParamsFingerprint(const power::PowerParams &pw)
 {
     Hasher h;
     h.str("tg.power-params.v1");
-    h.f64(pw.densityIfu)
-        .f64(pw.densityIsu)
-        .f64(pw.densityExu)
-        .f64(pw.densityLsu)
-        .f64(pw.densityL2)
-        .f64(pw.densityL3)
-        .f64(pw.densityNoc)
-        .f64(pw.densityMc)
-        .f64(pw.staticShareAt80C)
-        .f64(pw.leakageCalibTemp)
-        .f64(pw.leakageDoubling)
-        .f64(pw.logicLeakageBoost)
-        .f64(pw.memoryLeakageDerate);
+    sim::visitPowerParams(pw, KeyFields{h});
     return h.digest();
 }
 

@@ -17,9 +17,10 @@
  * any accidental drift of the key derivation fails loudly instead of
  * silently splitting (or worse, aliasing) the cache namespace.
  *
- * Bit-invisible knobs are EXCLUDED from configFingerprint(): worker
- * count (jobs), noiseBatchWidth, coalesceNoiseEpochs, the PDN
- * factor-cache capacity, and the cache settings themselves
+ * configFingerprint() hashes the SimConfig schema (sim::visitConfig
+ * in sim/config.hh), which tags every leaf field; this file names no
+ * field of its own. Bit-invisible knobs are EXCLUDED: worker count
+ * (jobs), noiseBatchWidth and the cache settings themselves
  * (cacheDir/memoizeResults) are proven not to change any result bit
  * (tests/test_run_determinism.cc, test_epoch_coalescing.cc), so runs
  * that differ only in them share cache entries — a warm cache
@@ -104,8 +105,8 @@ class Hasher
 Fingerprint chipFingerprint(const floorplan::Chip &chip);
 
 /**
- * Every SimConfig field that can influence a result bit (see header
- * note for the excluded bit-invisible knobs).
+ * Every Result-role leaf of the SimConfig schema, in visit order
+ * (see header note for the excluded bit-invisible knobs).
  */
 Fingerprint configFingerprint(const sim::SimConfig &cfg);
 

@@ -43,8 +43,7 @@ solverBytes(const SparseLdltSolver &s)
 /**
  * Everything the base factors and transfer resistances depend on:
  * this domain's slice of the chip, the VR sites in use, the
- * electrical design values the PDN reads, and the grid parameters
- * (minus the bit-invisible factorCacheCapacity).
+ * electrical design values the PDN reads, and the grid parameters.
  */
 cache::Fingerprint
 pdnBaseKey(const floorplan::Chip &chip, int domain,
@@ -395,22 +394,11 @@ DomainPdn::setActive(const std::vector<int> &active_local)
     Factorization f;
     f.steady = makeDowndate(*steadyBase, removed, r_steady);
     f.transient = makeDowndate(*transientBase, removed, r_transient);
-    if (prm.factorCacheCapacity <= 0) {
-        // Caching disabled: build-and-discard. The factorisation
-        // lives in a dedicated slot outside the LRU structures so it
-        // cannot be evicted from under `current` and no insert/evict
-        // bookkeeping runs at all.
-        uncached = std::move(f);
-        current = &uncached;
-        return;
-    }
     cacheList.emplace_front(key, std::move(f));
     cacheMap[key] = cacheList.begin();
     current = &cacheList.front().second;
 
-    std::size_t cap =
-        static_cast<std::size_t>(prm.factorCacheCapacity);
-    while (cacheList.size() > cap) {
+    while (cacheList.size() > kFactorCacheCapacity) {
         cacheMap.erase(cacheList.back().first);
         cacheList.pop_back();
     }

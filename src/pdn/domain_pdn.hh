@@ -76,16 +76,6 @@ struct PdnParams
     double gridInductancePerM = 2.5e-7;
     Seconds cycleTime = 0.25e-9; //!< transient step = clock period [s]
     double emergencyFrac = 0.10; //!< voltage-emergency threshold
-    /**
-     * Active-set factorisations kept alive (LRU). The governor flips
-     * among a handful of configurations per domain, so a small cache
-     * removes nearly all Woodbury rebuilds; each entry costs a few
-     * n-vectors of memory. Zero (or negative) cleanly disables
-     * caching: every new active set is built and discarded when the
-     * next one replaces it, and every non-short-circuited
-     * setActive() counts as a miss.
-     */
-    int factorCacheCapacity = 16;
 };
 
 /** Result of one transient noise window. */
@@ -157,6 +147,14 @@ class DomainPdn
     std::uint64_t factorCacheMisses() const { return cacheMisses; }
     /** Drop all cached factorisations (benchmarks / tests). */
     void clearFactorCache();
+
+    /**
+     * Active-set factorisations kept alive (LRU). The governor flips
+     * among a handful of configurations per domain, so a small cache
+     * removes nearly all Woodbury rebuilds; each entry costs a few
+     * n-vectors of memory.
+     */
+    static constexpr std::size_t kFactorCacheCapacity = 16;
 
     /** Steady-state node voltages for constant node currents [V]. */
     std::vector<Volts>
@@ -349,12 +347,6 @@ class DomainPdn
         std::uint64_t,
         std::list<std::pair<std::uint64_t, Factorization>>::iterator>
         cacheMap;
-    /**
-     * Build-and-discard slot used when factorCacheCapacity <= 0:
-     * holds the one live factorisation outside the LRU structures so
-     * `current` stays valid without any insert/evict bookkeeping.
-     */
-    Factorization uncached;
     const Factorization *current = nullptr;
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;

@@ -42,9 +42,10 @@ namespace serve {
 
 /**
  * Client -> server: one simulation run. `setup` is a
- * shard::encodeBasicSetup blob (chip kind + SimConfig scalars); the
- * RecordOptions scalars ride explicitly, like the shard protocol's
- * SweepRequest.
+ * shard::encodeBasicSetup blob (chip kind + the whole SimConfig
+ * schema; a config sim::configError() refuses gets an Error reply);
+ * the RecordOptions scalars ride explicitly, like the shard
+ * protocol's SweepRequest.
  */
 struct RunMsg
 {

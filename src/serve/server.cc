@@ -261,6 +261,11 @@ struct Server::Impl
             *err = "mini chip core count out of range";
             return nullptr;
         }
+        const std::string why = sim::configError(cfg);
+        if (!why.empty()) {
+            *err = "invalid config: " + why;
+            return nullptr;
+        }
         ctxCache.emplace_front();
         Ctx &ctx = ctxCache.front();
         ctx.key = key;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #ifdef __unix__
 #include <unistd.h>
@@ -27,7 +28,7 @@ namespace {
  *  protocol-error exits in coordinator logs). */
 constexpr int kTestDieExit = 42;
 
-constexpr std::uint32_t kBasicSetupMagic = 0x31424754; // "TGB1"
+constexpr std::uint32_t kBasicSetupMagic = 0x32424754; // "TGB2"
 
 #ifdef __unix__
 
@@ -270,19 +271,20 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
     w.u32(kBasicSetupMagic);
     w.u32(static_cast<std::uint32_t>(kind));
     w.i64(chip_arg);
-    w.u32(static_cast<std::uint32_t>(cfg.regulator));
-    w.f64(cfg.decisionInterval);
-    w.i64(cfg.noiseSamples);
-    w.i64(cfg.noiseCyclesTotal);
-    w.i64(cfg.noiseWarmupCycles);
-    w.i64(cfg.noiseBatchWidth);
-    w.u8(cfg.coalesceNoiseEpochs ? 1 : 0);
-    w.i64(cfg.profilingEpochs);
-    w.f64(cfg.practicalDemandMargin);
-    w.i64(cfg.practicalHeadroomVrs);
-    w.u64(cfg.seed);
-    w.str(cfg.cacheDir);
-    w.u8(cfg.memoizeResults ? 1 : 0);
+    // Every non-Local schema field in visit order: doubles by bit
+    // pattern, strings length-prefixed, the rest as 64-bit words.
+    sim::visitConfig(cfg, [&](const char *, const auto &v,
+                              sim::FieldRole role) {
+        using T = std::decay_t<decltype(v)>;
+        if (role == sim::FieldRole::Local)
+            return;
+        if constexpr (std::is_same_v<T, double>)
+            w.f64(v);
+        else if constexpr (std::is_same_v<T, std::string>)
+            w.str(v);
+        else
+            w.u64(static_cast<std::uint64_t>(v));
+    });
     return w.take();
 }
 
@@ -296,19 +298,17 @@ bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
     kind = static_cast<ChipKind>(r.u32());
     chip_arg = static_cast<int>(r.i64());
     cfg = sim::SimConfig{};
-    cfg.regulator = static_cast<sim::RegulatorChoice>(r.u32());
-    cfg.decisionInterval = r.f64();
-    cfg.noiseSamples = static_cast<int>(r.i64());
-    cfg.noiseCyclesTotal = static_cast<int>(r.i64());
-    cfg.noiseWarmupCycles = static_cast<int>(r.i64());
-    cfg.noiseBatchWidth = static_cast<int>(r.i64());
-    cfg.coalesceNoiseEpochs = r.u8() != 0;
-    cfg.profilingEpochs = static_cast<int>(r.i64());
-    cfg.practicalDemandMargin = r.f64();
-    cfg.practicalHeadroomVrs = static_cast<int>(r.i64());
-    cfg.seed = r.u64();
-    cfg.cacheDir = r.str();
-    cfg.memoizeResults = r.u8() != 0;
+    sim::visitConfig(cfg, [&](const char *, auto &v, sim::FieldRole role) {
+        using T = std::decay_t<decltype(v)>;
+        if (role == sim::FieldRole::Local)
+            return;
+        if constexpr (std::is_same_v<T, double>)
+            v = r.f64();
+        else if constexpr (std::is_same_v<T, std::string>)
+            v = r.str();
+        else
+            v = static_cast<T>(r.u64());
+    });
     if (!r.exhausted())
         return false;
     return kind == ChipKind::Power8 || kind == ChipKind::Mini;
@@ -322,6 +322,8 @@ SetupFactory basicSetupFactory()
         WorkerSetup setup;
         TG_ASSERT(decodeBasicSetup(blob, kind, chip_arg, setup.cfg),
                   "shard setup blob is not a well-formed basic setup");
+        const std::string why = sim::configError(setup.cfg);
+        TG_ASSERT(why.empty(), "shard setup config: ", why);
         switch (kind) {
         case ChipKind::Power8:
             setup.chip = floorplan::buildPower8Chip();

@@ -15,7 +15,7 @@
  * never interprets the blob, so drivers with exotic chips or fault
  * scenarios encode whatever they need. basicSetupFactory() covers
  * the canned chips (POWER8 evaluation chip, mini test chip) plus the
- * top-level SimConfig scalars, which is all the in-tree drivers use.
+ * whole SimConfig schema, which is all the in-tree drivers use.
  *
  * Cells execute on the shared runSweepCells() core (one Simulation,
  * or an intra-worker thread pool at jobs > 1) and every finished
@@ -90,27 +90,29 @@ enum class ChipKind : std::uint32_t
 };
 
 /**
- * Encode (chip, config) for basicSetupFactory(). Covers the
- * top-level SimConfig scalars (regulator choice, timing, sampling,
- * batching, seed, cache knobs); the nested parameter structs stay at
- * their defaults — drivers that tune those need their own factory.
+ * Encode (chip, config) for basicSetupFactory() as a `TGB2` blob:
+ * every leaf of the SimConfig schema (sim::visitConfig) except the
+ * host-local worker count, nested parameter structs included.
  */
 std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
                                            const sim::SimConfig &cfg);
 
 /**
  * Non-fatal decoder of encodeBasicSetup() blobs. Returns false on a
- * malformed blob or unknown chip kind instead of dying — the sweep
- * server uses this to turn a bad client request into an error reply
- * rather than a daemon abort.
+ * malformed blob (an old `TGB1` one included) or unknown chip kind
+ * instead of dying — the sweep server uses this to turn a bad client
+ * request into an error reply rather than a daemon abort. A decoded
+ * config still needs sim::configError() before it builds a
+ * Simulation.
  */
 bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
                       ChipKind &kind, int &chip_arg,
                       sim::SimConfig &cfg);
 
 /** The factory decoding encodeBasicSetup() blobs (fatal on a blob it
- *  does not understand — coordinator and worker are one binary, so a
- *  mismatch is a bug, not an input error). */
+ *  does not understand or a config sim::configError() refuses —
+ *  coordinator and worker are one binary, so a mismatch is a bug,
+ *  not an input error). */
 SetupFactory basicSetupFactory();
 
 } // namespace shard

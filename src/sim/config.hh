@@ -46,26 +46,17 @@ struct SimConfig
 
     /**
      * Lockstep lanes of the batched transient kernel: a domain's
-     * noise windows of one epoch advance through the shared
-     * factorisation up to this many at a time (1 = single-lane
-     * lockstep; clamped to pdn::DomainPdn::kMaxWindowBatch). Purely
-     * a throughput knob — results are bit-identical at every width.
-     * The default 8 is the widest kernel and the cheapest per window;
-     * separable windows keep a queued window at 2 x nodeCount
-     * currents, so the wider queue costs next to no memory.
+     * queued noise windows advance through the shared factorisation
+     * up to this many at a time (1 = single-lane lockstep; clamped
+     * to pdn::DomainPdn::kMaxWindowBatch). Windows queue across
+     * epochs that keep the active set and drain at this cap, a set
+     * change, an emergency-truth decision or the end of the run.
+     * Purely a throughput knob — results are bit-identical at every
+     * width. The default 8 is the widest kernel and the cheapest per
+     * window; separable windows keep a queued window at 2 x
+     * nodeCount currents, so the wider queue costs next to no memory.
      */
     int noiseBatchWidth = 8;
-
-    /**
-     * Coalesce noise windows across consecutive epochs whose gating
-     * decision left the active set unchanged, draining only on a
-     * set change, an emergency-truth decision boundary, the batch
-     * width cap, or the end of the run. AllOn-style policies never
-     * change sets, so their windows always fill noiseBatchWidth
-     * lanes. Purely a throughput knob: results are bit-identical to
-     * the per-epoch drain (`false` restores it exactly).
-     */
-    bool coalesceNoiseEpochs = true;
 
     /** Epochs of the theta-profiling pass (Section 6.3). */
     int profilingEpochs = 24;
@@ -132,6 +123,130 @@ struct SimConfig
      *  fault scenario (RecordOptions::faultScenario). */
     sensors::HealthParams healthParams;
 };
+
+/** How a SimConfig leaf field crosses the cache and process
+ *  boundaries (see visitConfig). */
+enum class FieldRole
+{
+    Result, //!< can move a result bit: hashed and on the wire
+    Knob,   //!< bit-invisible knob: on the wire, not hashed
+    Local,  //!< host-local: neither hashed nor on the wire
+};
+
+/** The leaf fields of PowerParams, in fingerprint order (part of the
+ *  visitConfig schema). */
+template <class P, class V>
+void
+visitPowerParams(P &p, V &&v)
+{
+    using enum FieldRole;
+    v("powerParams.densityIfu", p.densityIfu, Result);
+    v("powerParams.densityIsu", p.densityIsu, Result);
+    v("powerParams.densityExu", p.densityExu, Result);
+    v("powerParams.densityLsu", p.densityLsu, Result);
+    v("powerParams.densityL2", p.densityL2, Result);
+    v("powerParams.densityL3", p.densityL3, Result);
+    v("powerParams.densityNoc", p.densityNoc, Result);
+    v("powerParams.densityMc", p.densityMc, Result);
+    v("powerParams.staticShareAt80C", p.staticShareAt80C, Result);
+    v("powerParams.leakageCalibTemp", p.leakageCalibTemp, Result);
+    v("powerParams.leakageDoubling", p.leakageDoubling, Result);
+    v("powerParams.logicLeakageBoost", p.logicLeakageBoost, Result);
+    v("powerParams.memoryLeakageDerate", p.memoryLeakageDerate, Result);
+}
+
+/**
+ * The SimConfig schema: every leaf field of SimConfig and its nested
+ * parameter structs, once, in the order the cache key absorbs them.
+ * `Cfg` is SimConfig or const SimConfig. The visitor is called as
+ * `v(dotted_name, field, role)` for each leaf (RegulatorChoice, int,
+ * double, std::uint64_t, bool or std::string). A visitor with a
+ * `powerParams(p)` member gets the PowerParams struct in one call
+ * instead of its leaves: the cache keys the power parameters on
+ * their own too, for the power-trace artifact.
+ * cache::configFingerprint(), the shard setup blob and the schema
+ * tests all run off this list, so a field listed here is hashed (if
+ * Result) and carried across processes (unless Local) with no other
+ * edit, and a SimConfig field missing here is neither.
+ */
+template <class Cfg, class V>
+void
+visitConfig(Cfg &c, V &&v)
+{
+    using enum FieldRole;
+    v("regulator", c.regulator, Result);
+    v("decisionInterval", c.decisionInterval, Result);
+    v("noiseSamples", c.noiseSamples, Result);
+    v("noiseCyclesTotal", c.noiseCyclesTotal, Result);
+    v("noiseWarmupCycles", c.noiseWarmupCycles, Result);
+    v("noiseBatchWidth", c.noiseBatchWidth, Knob);
+    v("profilingEpochs", c.profilingEpochs, Result);
+    v("practicalDemandMargin", c.practicalDemandMargin, Result);
+    v("practicalHeadroomVrs", c.practicalHeadroomVrs, Result);
+    v("seed", c.seed, Result);
+    v("jobs", c.jobs, Local);
+    v("cacheDir", c.cacheDir, Knob);
+    v("memoizeResults", c.memoizeResults, Knob);
+
+    auto &t = c.thermalParams;
+    v("thermalParams.gridW", t.gridW, Result);
+    v("thermalParams.gridH", t.gridH, Result);
+    v("thermalParams.spreaderN", t.spreaderN, Result);
+    v("thermalParams.dieThickness", t.dieThickness, Result);
+    v("thermalParams.kSilicon", t.kSilicon, Result);
+    v("thermalParams.cvSilicon", t.cvSilicon, Result);
+    v("thermalParams.timThickness", t.timThickness, Result);
+    v("thermalParams.kTim", t.kTim, Result);
+    v("thermalParams.spreaderThickness", t.spreaderThickness, Result);
+    v("thermalParams.kCopper", t.kCopper, Result);
+    v("thermalParams.cvCopper", t.cvCopper, Result);
+    v("thermalParams.spreaderSide", t.spreaderSide, Result);
+    v("thermalParams.rConvection", t.rConvection, Result);
+    v("thermalParams.vrCouplingResistance", t.vrCouplingResistance,
+      Result);
+    v("thermalParams.ambient", t.ambient, Result);
+    v("thermalParams.step", t.step, Result);
+
+    if constexpr (requires { v.powerParams(c.powerParams); })
+        v.powerParams(c.powerParams);
+    else
+        visitPowerParams(c.powerParams, v);
+
+    auto &p = c.pdnParams;
+    v("pdnParams.nodePitch", p.nodePitch, Result);
+    v("pdnParams.sheetResistance", p.sheetResistance, Result);
+    v("pdnParams.decapPerMm2", p.decapPerMm2, Result);
+    v("pdnParams.gridInductancePerM", p.gridInductancePerM, Result);
+    v("pdnParams.cycleTime", p.cycleTime, Result);
+    v("pdnParams.emergencyFrac", p.emergencyFrac, Result);
+
+    v("sensorParams.delay", c.sensorParams.delay, Result);
+    v("sensorParams.quantization", c.sensorParams.quantization, Result);
+    v("sensorParams.noiseSigma", c.sensorParams.noiseSigma, Result);
+
+    auto &pr = c.predictorParams;
+    v("predictorParams.sensitivity", pr.sensitivity, Result);
+    v("predictorParams.falseAlarmRate", pr.falseAlarmRate, Result);
+
+    auto &h = c.healthParams;
+    v("healthParams.minPlausible", h.minPlausible, Result);
+    v("healthParams.maxPlausible", h.maxPlausible, Result);
+    v("healthParams.maxStep", h.maxStep, Result);
+    v("healthParams.freezeEps", h.freezeEps, Result);
+    v("healthParams.freezeReads", h.freezeReads, Result);
+    v("healthParams.freezeNeighbourMove", h.freezeNeighbourMove, Result);
+    v("healthParams.neighbourTolerance", h.neighbourTolerance, Result);
+    v("healthParams.readmitTolerance", h.readmitTolerance, Result);
+    v("healthParams.readmitReads", h.readmitReads, Result);
+}
+
+/**
+ * Why `cfg` cannot build or run a Simulation, or the empty string
+ * when it can: mirrors the preconditions the model constructors and
+ * the noise kernel assert, and rejects non-finite doubles, so a
+ * config from outside the process is refused instead of aborting it.
+ */
+std::string configError(const SimConfig &cfg);
 
 } // namespace sim
 } // namespace tg

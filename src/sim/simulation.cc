@@ -663,17 +663,16 @@ Simulation::runMixed(
     // The queue of captured-but-unsolved windows (one base-vector
     // buffer per domain, indexed by the shared noiseQueue) drains in
     // two stages. flush_domain(d) synthesises the multipliers of d's
-    // pending windows and solves them in lockstep chunks — called early when d's active set is about to change, so the
-    // solves still run under the factorisation the windows were
-    // scheduled against. drain_all() completes every domain's solves
+    // pending windows and solves them in lockstep chunks — called
+    // early when d's active set is about to change, so the solves
+    // still run under the factorisation the windows were scheduled
+    // against. drain_all() completes every domain's solves
     // and reduces all results serially in global (sample, domain)
     // order: the reduction executes the exact max/sum/compare
-    // sequence of the per-epoch path, so coalescing windows across
-    // epochs (cfg.coalesceNoiseEpochs) is bit-invisible. Lanes of a
-    // lockstep batch never interact, so chunk boundaries — which do
-    // shift when windows coalesce or flush early — are bit-irrelevant
-    // too.
-    const bool coalesce = cfg.coalesceNoiseEpochs;
+    // sequence of an epoch-by-epoch drain, so coalescing windows
+    // across epochs is bit-invisible. Lanes of a lockstep batch never
+    // interact, so chunk boundaries — which do shift when windows
+    // coalesce or flush early — are bit-irrelevant too.
     const bool want_trace = opts.noiseTrace;
     const std::size_t win_cycles =
         static_cast<std::size_t>(cfg.noiseCyclesTotal);
@@ -771,8 +770,7 @@ Simulation::runMixed(
             analysed_cycles += analysed;
             if (injector) {
                 // Attributed to the epoch the sample was *scheduled*
-                // in (recorded at queue time), which is where the
-                // per-epoch path reduced it.
+                // in (recorded at queue time), not the one draining.
                 if (noiseQueue[static_cast<std::size_t>(q)].faulted)
                     em_cycles_faulted += em_max;
                 else
@@ -823,7 +821,7 @@ Simulation::runMixed(
             // earlier epochs must fully drain first (the flush rule's
             // "decision boundary" case). Epochs without truth windows
             // keep their queues pending.
-            if (coalesce && truth_epoch)
+            if (truth_epoch)
                 drain_all();
 
             // Epoch provisioning power: the trace's blended mean/peak
@@ -961,9 +959,9 @@ Simulation::runMixed(
 
             // ---- Phase 2: emergency truth -------------------------------
             // The queue is empty here — the decision-boundary drain
-            // (coalescing) or the previous epoch's drain solved every
-            // pending window — so re-keying a PDN strands nothing, and
-            // the truth windows reuse the result buffers from offset 0.
+            // solved every pending window — so re-keying a PDN
+            // strands nothing, and the truth windows reuse the result
+            // buffers from offset 0.
             if (truth_epoch) {
                 TG_ASSERT(noiseQueue.empty(),
                           "truth windows would overwrite queued "
@@ -1241,19 +1239,11 @@ Simulation::runMixed(
                     }
                     // Width cap: coalescing never queues more than
                     // one full lockstep dispatch.
-                    if (coalesce &&
-                        static_cast<int>(noiseQueue.size()) >= width)
+                    if (static_cast<int>(noiseQueue.size()) >= width)
                         drain_all();
                 }
             }
         }
-
-        // ---- Per-epoch drain (coalescing off) --------------------------
-        // The PR 4 behaviour: every epoch's windows solve and reduce
-        // at its end. With coalescing the queue instead rides into
-        // the next epoch until a flush rule fires.
-        if (!off_chip && !coalesce)
-            drain_all();
     }
 
     // Whatever still rides the queue at the end of the run.

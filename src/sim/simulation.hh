@@ -157,8 +157,8 @@ class Simulation
      * `laneMult` (lane j's m and memory sequences at offset
      * 2 j cycles); the RNG stream is keyed by (run_seed, epoch,
      * sample, domain), so when that happens does not change the bits.
-     * With cfg.coalesceNoiseEpochs the queue rides across epochs
-     * whose decision left the domain's active set unchanged, so
+     * The queue rides across epochs whose decision left the
+     * domain's active set unchanged, so
      * rarely-gating policies fill maximally wide lanes; `solved`
      * counts the leading windows already solved by an early
      * per-domain flush (a setActive() with pending windows solves

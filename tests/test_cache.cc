@@ -2,7 +2,9 @@
  * @file
  * Tests of the content-addressed artifact cache (src/cache): the
  * fingerprint layer (golden digests + field sensitivity + knob
- * invariance), the sharded in-memory store, the bit-exact RunResult
+ * invariance, driven leaf by leaf through the SimConfig schema, which
+ * also feeds the shard setup blob checked here), the sharded
+ * in-memory store, the bit-exact RunResult
  * serializer, the checksummed disk tier, and the end-to-end
  * cache-hit-equals-recompute contract of Simulation memoization.
  *
@@ -16,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
+#include <type_traits>
 
 #include "cache/disk.hh"
 #include "cache/fingerprint.hh"
@@ -26,6 +31,7 @@
 #include "cache/store.hh"
 #include "fault/scenario.hh"
 #include "floorplan/power8.hh"
+#include "shard/worker.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
 
@@ -95,38 +101,124 @@ TEST(Fingerprint, TypeTagsAndBoundariesDoNotAlias)
               Hasher{}.f64(-0.0).digest());
 }
 
+// --- SimConfig schema walkers (sim::visitConfig) --------------------
+
+/** Dotted names of every schema leaf, in visit order. */
+std::vector<std::string>
+schemaLeaves()
+{
+    const sim::SimConfig defaults;
+    std::vector<std::string> names;
+    sim::visitConfig(defaults, [&](const char *name, const auto &,
+                                   sim::FieldRole) {
+        names.push_back(name);
+    });
+    return names;
+}
+
+/** Defaults with the leaf at visit position `leaf` moved. */
+sim::SimConfig
+perturbed(std::size_t leaf)
+{
+    sim::SimConfig c;
+    std::size_t at = 0;
+    sim::visitConfig(c, [&](const char *, auto &v, sim::FieldRole) {
+        using T = std::decay_t<decltype(v)>;
+        if (at++ != leaf)
+            return;
+        if constexpr (std::is_enum_v<T>)
+            v = static_cast<T>(static_cast<int>(v) ^ 1);
+        else if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+        else if constexpr (std::is_same_v<T, std::string>)
+            v += "/elsewhere";
+        else if constexpr (std::is_same_v<T, double>)
+            v = v * 2.0 + 1.0;
+        else
+            v += 1;
+    });
+    return c;
+}
+
+/** Bit-exact text image of every leaf (doubles by bit pattern). */
+std::vector<std::string>
+bitsOf(const sim::SimConfig &c)
+{
+    std::vector<std::string> bits;
+    sim::visitConfig(c, [&](const char *, const auto &v, sim::FieldRole) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+            bits.push_back(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t u = 0;
+            std::memcpy(&u, &v, sizeof u);
+            bits.push_back(std::to_string(u));
+        } else {
+            bits.push_back(std::to_string(static_cast<long long>(v)));
+        }
+    });
+    return bits;
+}
+
 TEST(Fingerprint, ConfigFieldsChangeTheKey)
 {
-    sim::SimConfig base;
+    // Every schema leaf moves the config key except exactly these
+    // bit-invisible ones. The set is spelled out here rather than
+    // read from the schema's role tags, so tagging a result-relevant
+    // field as a knob fails loudly. Power parameters also move their
+    // own key (the power-trace component); no other leaf does.
+    const std::set<std::string> invisible = {
+        "jobs", "noiseBatchWidth", "cacheDir", "memoizeResults"};
+    const std::vector<std::string> leaves = schemaLeaves();
+    EXPECT_EQ(std::set<std::string>(leaves.begin(), leaves.end()).size(),
+              leaves.size());
+
+    const sim::SimConfig base;
     const Fingerprint ref = configFingerprint(base);
+    const Fingerprint power_ref = powerParamsFingerprint(base.powerParams);
+    std::set<std::string> unchanged;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        const sim::SimConfig c = perturbed(i);
+        ASSERT_NE(bitsOf(c), bitsOf(base)) << leaves[i];
+        if (configFingerprint(c) == ref)
+            unchanged.insert(leaves[i]);
+        const bool power = leaves[i].rfind("powerParams.", 0) == 0;
+        EXPECT_EQ(powerParamsFingerprint(c.powerParams) != power_ref,
+                  power)
+            << leaves[i];
+    }
+    EXPECT_EQ(unchanged, invisible);
+}
 
-    sim::SimConfig c = base;
-    c.seed = base.seed + 1;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.noiseSamples += 1;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.decisionInterval *= 2.0;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.thermalParams.ambient += 1.0;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.powerParams.densityExu *= 1.01;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.pdnParams.emergencyFrac *= 0.5;
-    EXPECT_NE(configFingerprint(c), ref);
-
-    c = base;
-    c.healthParams.readmitReads += 1;
-    EXPECT_NE(configFingerprint(c), ref);
+TEST(ConfigSchema, EveryLeafRoundTripsThroughTheSetupBlob)
+{
+    // The shard/serve setup blob carries every leaf but the
+    // host-local worker count, nested parameter structs included.
+    const std::set<std::string> host_local = {"jobs"};
+    const std::vector<std::string> leaves = schemaLeaves();
+    const sim::SimConfig base;
+    const auto base_blob =
+        shard::encodeBasicSetup(shard::ChipKind::Mini, 2, base);
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+        const sim::SimConfig c = perturbed(i);
+        const auto blob =
+            shard::encodeBasicSetup(shard::ChipKind::Mini, 2, c);
+        shard::ChipKind kind{};
+        int chip_arg = 0;
+        sim::SimConfig decoded;
+        ASSERT_TRUE(shard::decodeBasicSetup(blob, kind, chip_arg,
+                                            decoded))
+            << leaves[i];
+        EXPECT_EQ(kind, shard::ChipKind::Mini);
+        EXPECT_EQ(chip_arg, 2);
+        if (host_local.count(leaves[i])) {
+            EXPECT_EQ(blob, base_blob) << leaves[i];
+            EXPECT_EQ(bitsOf(decoded), bitsOf(base)) << leaves[i];
+        } else {
+            EXPECT_NE(blob, base_blob) << leaves[i];
+            EXPECT_EQ(bitsOf(decoded), bitsOf(c)) << leaves[i];
+        }
+    }
 }
 
 TEST(Fingerprint, BitInvisibleKnobsDoNotChangeTheKey)
@@ -143,14 +235,6 @@ TEST(Fingerprint, BitInvisibleKnobsDoNotChangeTheKey)
 
     c = base;
     c.noiseBatchWidth = 2;
-    EXPECT_EQ(configFingerprint(c), ref);
-
-    c = base;
-    c.coalesceNoiseEpochs = !base.coalesceNoiseEpochs;
-    EXPECT_EQ(configFingerprint(c), ref);
-
-    c = base;
-    c.pdnParams.factorCacheCapacity += 7;
     EXPECT_EQ(configFingerprint(c), ref);
 
     c = base;

@@ -2,12 +2,14 @@
  * @file
  * Bit-identity tests of cross-epoch noise-window coalescing.
  *
- * SimConfig::coalesceNoiseEpochs lets built windows ride across
- * epochs whose decision kept the active set, draining on a set
- * change, an emergency-truth decision boundary, the width cap, or
- * the end of the run. The contract under test: a coalesced run is
- * bit-identical (EXPECT_EQ on every double — hexfloat equality) to
- * the per-epoch drain path, at every worker count and batch width,
+ * Built windows ride across epochs whose decision kept the active
+ * set, draining on a set change, an emergency-truth decision
+ * boundary, the noiseBatchWidth cap, or the end of the run. The
+ * reference is width 1, where the cap drains every window the moment
+ * it is queued (nothing ever rides into a later epoch). The contract
+ * under test: a coalesced run is bit-identical (EXPECT_EQ on every
+ * double — hexfloat equality) to that reference, at every worker
+ * count and batch width,
  * for a policy that never flushes mid-run (AllOn: maximal lanes),
  * for the paper's full policy (PracVT: the emergency-truth boundary
  * drains almost every sampled epoch), for a set-changing policy
@@ -28,14 +30,13 @@ namespace sim {
 namespace {
 
 SimConfig
-miniConfig(int jobs, int width, bool coalesce)
+miniConfig(int jobs, int width)
 {
     SimConfig cfg;
     cfg.noiseSamples = 24;  // multiple windows per drain: real lanes
     cfg.profilingEpochs = 8;
     cfg.jobs = jobs;
     cfg.noiseBatchWidth = width;
-    cfg.coalesceNoiseEpochs = coalesce;
     return cfg;
 }
 
@@ -65,10 +66,10 @@ expectIdentical(const RunResult &a, const RunResult &b)
 
 RunResult
 runWith(const floorplan::Chip &chip, core::PolicyKind policy,
-        int jobs, int width, bool coalesce,
+        int jobs, int width,
         const fault::FaultScenario *scenario = nullptr)
 {
-    Simulation s(chip, miniConfig(jobs, width, coalesce));
+    Simulation s(chip, miniConfig(jobs, width));
     RecordOptions opts;
     if (scenario)
         opts.faultScenario = scenario;
@@ -77,22 +78,20 @@ runWith(const floorplan::Chip &chip, core::PolicyKind policy,
 
 TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
 {
-    // Reference: the per-epoch drain (the pre-coalescing behaviour)
-    // at the default width. Every coalesced combination must equal
-    // it bit for bit. AllOn never changes sets, so its windows only
+    // Reference: width 1 on one worker, where every window drains
+    // as it is queued. Every coalescing combination must equal it
+    // bit for bit. AllOn never changes sets, so its windows only
     // drain at the width cap and the end of the run — maximal
     // coalescing; PracVT's emergency-truth boundary forces a drain
     // at the start of nearly every sampled epoch — frequent flushes.
     auto chip = floorplan::buildMiniChip(2);
     for (auto policy :
          {core::PolicyKind::AllOn, core::PolicyKind::PracVT}) {
-        auto ref = runWith(chip, policy, 1, 4, false);
+        auto ref = runWith(chip, policy, 1, 1);
         for (int jobs : {1, 4})
             for (int width : {1, 4, 8})
-                expectIdentical(
-                    ref, runWith(chip, policy, jobs, width, true));
-        // Per-epoch path itself is width/jobs-invariant too.
-        expectIdentical(ref, runWith(chip, policy, 4, 8, false));
+                expectIdentical(ref,
+                                runWith(chip, policy, jobs, width));
     }
 }
 
@@ -103,20 +102,19 @@ TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
     // path: they must solve under the factorisation of the epoch
     // that scheduled them, not the incoming one.
     auto chip = floorplan::buildMiniChip(2);
-    auto ref = runWith(chip, core::PolicyKind::OracT, 1, 4, false);
-    for (int width : {1, 8})
+    auto ref = runWith(chip, core::PolicyKind::OracT, 1, 1);
+    for (int width : {4, 8})
         expectIdentical(
-            ref, runWith(chip, core::PolicyKind::OracT, 1, width,
-                         true));
+            ref, runWith(chip, core::PolicyKind::OracT, 1, width));
     expectIdentical(
-        ref, runWith(chip, core::PolicyKind::OracT, 4, 4, true));
+        ref, runWith(chip, core::PolicyKind::OracT, 4, 4));
 }
 
 TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
 {
     // Deferred reduction must attribute emergency cycles to the
     // epoch a sample was *scheduled* in (recorded at queue time),
-    // exactly as the per-epoch path attributed them at its drain.
+    // exactly as the width-1 reference attributes them at once.
     auto chip = floorplan::buildMiniChip(2);
     int n_vrs = static_cast<int>(chip.plan.vrs().size());
     ASSERT_GE(n_vrs, 4);
@@ -141,25 +139,25 @@ TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
 
     for (auto policy :
          {core::PolicyKind::AllOn, core::PolicyKind::PracVT}) {
-        auto ref = runWith(chip, policy, 1, 4, false, &scenario);
+        auto ref = runWith(chip, policy, 1, 1, &scenario);
         for (int jobs : {1, 4})
             for (int width : {4, 8})
                 expectIdentical(ref, runWith(chip, policy, jobs,
-                                             width, true, &scenario));
+                                             width, &scenario));
     }
 }
 
 TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
 {
     // The deepest-droop trace and its timestamp come out of the
-    // deferred reduction; they must match the per-epoch path's pick
-    // (same strict-> comparison sequence in queue order).
+    // deferred reduction; they must match the width-1 reference's
+    // pick (same strict-> comparison sequence in queue order).
     auto chip = floorplan::buildMiniChip(1);
     RecordOptions opts;
     opts.noiseTrace = true;
-    Simulation per_epoch(chip, miniConfig(1, 4, false));
-    Simulation coalesced(chip, miniConfig(1, 8, true));
-    auto a = per_epoch.run(workload::profileByName("rayt"),
+    Simulation per_window(chip, miniConfig(1, 1));
+    Simulation coalesced(chip, miniConfig(1, 8));
+    auto a = per_window.run(workload::profileByName("rayt"),
                            core::PolicyKind::AllOn, opts);
     auto b = coalesced.run(workload::profileByName("rayt"),
                            core::PolicyKind::AllOn, opts);

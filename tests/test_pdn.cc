@@ -378,100 +378,56 @@ TEST_F(PdnTest, CachedFactorisationMatchesFresh)
         EXPECT_EQ(rebuilt_v[i], fresh_v[i]) << "node " << i;
 }
 
-TEST_F(PdnTest, ZeroCacheCapacityDisablesCachingCleanly)
-{
-    // factorCacheCapacity <= 0 must mean "no caching", not "cache of
-    // size one": every distinct set is a miss, revisiting a set is a
-    // miss again, and the solves still work (the live factorisation
-    // is held outside the LRU so nothing evicts it mid-use).
-    PdnParams prm;
-    prm.factorCacheCapacity = 0;
-    DomainPdn uncached(chip, 0, vreg::fivrDesign(), prm);
-    auto load = domainLoad(1.1);
-
-    EXPECT_EQ(uncached.factorCacheHits(), 0u);
-    std::uint64_t misses = uncached.factorCacheMisses();
-    uncached.setActive({0, 4, 8});
-    auto v1 = uncached.steadyVoltages(load);
-    uncached.setActive({0, 1, 2});
-    uncached.setActive({0, 4, 8});  // revisit: rebuilt, not served
-    EXPECT_EQ(uncached.factorCacheHits(), 0u);
-    EXPECT_EQ(uncached.factorCacheMisses(), misses + 3);
-    auto v2 = uncached.steadyVoltages(load);
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v2[i], v1[i]) << "node " << i;
-
-    // ...and matches the cached instance bit for bit.
-    dp.setActive({0, 4, 8});
-    auto v_cached = dp.steadyVoltages(load);
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v1[i], v_cached[i]) << "node " << i;
-
-    // Unchanged sets still short-circuit without cache traffic.
-    misses = uncached.factorCacheMisses();
-    uncached.setActive({8, 4, 0});
-    EXPECT_EQ(uncached.factorCacheMisses(), misses);
-
-    // Negative capacity behaves like zero.
-    prm.factorCacheCapacity = -3;
-    DomainPdn negative(chip, 0, vreg::fivrDesign(), prm);
-    negative.setActive({0, 4, 8});
-    negative.setActive({1, 5});
-    EXPECT_EQ(negative.factorCacheHits(), 0u);
-    auto v3 = negative.steadyVoltages(load);
-    negative.setActive({0, 4, 8});
-    auto v4 = negative.steadyVoltages(load);
-    EXPECT_NE(v3, v4);  // different active sets: different field
-    for (std::size_t i = 0; i < v1.size(); ++i)
-        EXPECT_EQ(v4[i], v1[i]) << "node " << i;
-}
-
 TEST_F(PdnTest, LruEvictionKeepsRecentAndRebuildsExactly)
 {
-    PdnParams prm;
-    prm.factorCacheCapacity = 3;
-    DomainPdn small(chip, 0, vreg::fivrDesign(), prm);
     auto load = domainLoad(1.2);
 
-    // Drive more distinct sets than the capacity holds; remember each
-    // set's first-build solution.
-    std::vector<std::vector<int>> sets = {
-        {0}, {1}, {2}, {3}, {4}, {0, 4, 8}};
+    // Drive three more distinct sets than the capacity holds —
+    // singletons, then pairs — remembering each first-build solution.
+    const std::size_t n = DomainPdn::kFactorCacheCapacity + 3;
+    std::vector<std::vector<int>> sets;
+    for (int i = 0; i < dp.vrCount(); ++i)
+        sets.push_back({i});
+    for (int i = 0; i < dp.vrCount(); ++i)
+        for (int j = i + 1; j < dp.vrCount(); ++j)
+            sets.push_back({i, j});
+    ASSERT_GE(sets.size(), n);
+    sets.resize(n);
     std::vector<std::vector<Volts>> fresh;
-    std::uint64_t misses0 = small.factorCacheMisses();
+    std::uint64_t misses0 = dp.factorCacheMisses();
     for (const auto &s : sets) {
-        small.setActive(s);
-        fresh.push_back(small.steadyVoltages(load));
+        dp.setActive(s);
+        fresh.push_back(dp.steadyVoltages(load));
     }
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size());
-    EXPECT_EQ(small.factorCacheHits(), 0u);
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n);
+    EXPECT_EQ(dp.factorCacheHits(), 0u);
 
-    // The last `capacity` sets — {4}, {3}, {0,4,8} — are resident:
-    // revisiting them serves hits. (sets[5] is still the active set,
-    // so touch the others first; recency after this block is
-    // {0,4,8} > {3} > {4}.)
-    small.setActive(sets[4]);
-    small.setActive(sets[3]);
-    small.setActive(sets[5]);
-    EXPECT_EQ(small.factorCacheHits(), 3u);
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size());
+    // The last `capacity` sets — sets[3..n-1] — are resident, the
+    // oldest being sets[3]. Touching it makes sets[4] the least
+    // recently used. (sets[n-1] is still the active set, so step
+    // away and back to count its hit.)
+    dp.setActive(sets[3]);
+    dp.setActive(sets[n - 1]);
+    EXPECT_EQ(dp.factorCacheHits(), 2u);
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n);
 
     // A new insertion evicts exactly the least-recently-used entry:
-    // {4} goes, {3} survives.
-    small.setActive(sets[0]);  // miss: evicts sets[4]
-    small.setActive(sets[3]);  // still resident: hit
-    EXPECT_EQ(small.factorCacheHits(), 4u);
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size() + 1);
-    small.setActive(sets[4]);  // evicted above: miss, rebuilt
-    EXPECT_EQ(small.factorCacheMisses(), misses0 + sets.size() + 2);
+    // sets[4] goes, the touched sets[3] survives.
+    dp.setActive(sets[0]);  // miss: evicts sets[4]
+    dp.setActive(sets[3]);  // still resident: hit
+    EXPECT_EQ(dp.factorCacheHits(), 3u);
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n + 1);
+    dp.setActive(sets[4]);  // evicted above: miss, rebuilt
+    EXPECT_EQ(dp.factorCacheMisses(), misses0 + n + 2);
 
     // Rebuilt-after-eviction entries reproduce the first build bit
     // for bit — eviction can cost time but never changes results.
-    auto rebuilt = small.steadyVoltages(load);
+    auto rebuilt = dp.steadyVoltages(load);
     for (std::size_t i = 0; i < rebuilt.size(); ++i)
         EXPECT_EQ(rebuilt[i], fresh[4][i]) << "node " << i;
-    small.setActive(sets[0]);  // resident from two inserts ago
-    auto rebuilt0 = small.steadyVoltages(load);
+    dp.setActive(sets[0]);  // resident from two inserts ago
+    EXPECT_EQ(dp.factorCacheHits(), 4u);
+    auto rebuilt0 = dp.steadyVoltages(load);
     for (std::size_t i = 0; i < rebuilt0.size(); ++i)
         EXPECT_EQ(rebuilt0[i], fresh[0][i]) << "node " << i;
 }

@@ -47,10 +47,19 @@ const std::vector<std::string> kBenchmarks = {"rayt", "fft",
 const std::vector<core::PolicyKind> kPolicies = {
     core::PolicyKind::AllOn, core::PolicyKind::OracT};
 
-std::vector<std::uint8_t> testSetup()
+std::vector<std::uint8_t> testSetup(const sim::SimConfig &cfg =
+                                        testConfig())
 {
-    return shard::encodeBasicSetup(shard::ChipKind::Mini, 1,
-                                   testConfig());
+    return shard::encodeBasicSetup(shard::ChipKind::Mini, 1, cfg);
+}
+
+/** testConfig() plus nested parameters a served run must honour. */
+sim::SimConfig nestedConfig()
+{
+    sim::SimConfig cfg = testConfig();
+    cfg.thermalParams.ambient = 60.0;
+    cfg.pdnParams.emergencyFrac = 0.05;
+    return cfg;
 }
 
 SweepMsg testSweepRequest(int jobs)
@@ -186,6 +195,38 @@ TEST_F(ServeDeterminism, ServedSingleRunMatchesDirect)
               cache::encodeRunResult(direct));
 }
 
+TEST_F(ServeDeterminism, NestedParamsMatchTheLocalRun)
+{
+    // The setup blob carries the nested parameter structs, so a
+    // served sweep and run see the same hotter ambient and tighter
+    // emergency threshold as a local Simulation.
+    const sim::SimConfig cfg = nestedConfig();
+    floorplan::Chip chip = floorplan::buildMiniChip(1);
+    sim::Simulation simulation(chip, cfg);
+    const sim::SweepResult local =
+        sim::runSweep(simulation, {"fft"}, kPolicies, false, 1);
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(server->socketPath(), &err)) << err;
+    SweepMsg sweep = testSweepRequest(1);
+    sweep.setup = testSetup(cfg);
+    sweep.benchmarks = {"fft"};
+    sim::SweepResult grid;
+    ASSERT_TRUE(client.sweep(sweep, grid, &err)) << err;
+    expectBitIdentical(local, grid);
+
+    RunMsg run;
+    run.setup = sweep.setup;
+    run.benchmark = "fft";
+    run.policy = static_cast<std::uint32_t>(core::PolicyKind::OracT);
+    sim::RunResult servedRun;
+    ASSERT_TRUE(client.run(run, servedRun, &err)) << err;
+    EXPECT_EQ(cache::encodeRunResult(servedRun),
+              cache::encodeRunResult(
+                  local.at("fft", core::PolicyKind::OracT)));
+}
+
 TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
 {
     Client client;
@@ -214,11 +255,32 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     sim::SweepResult sweepOut;
     EXPECT_FALSE(client.sweep(badCells, sweepOut, &err));
 
+    // Well-formed blobs whose configs the noise kernel and the
+    // thermal model would assert on: refused with an Error reply.
+    sim::SimConfig warmup = testConfig();
+    warmup.noiseWarmupCycles = warmup.noiseCyclesTotal;
+    RunMsg badWarmup;
+    badWarmup.setup = testSetup(warmup);
+    badWarmup.benchmark = "fft";
+    badWarmup.policy =
+        static_cast<std::uint32_t>(core::PolicyKind::AllOn);
+    DoneMsg done;
+    EXPECT_FALSE(client.run(badWarmup, out, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+    EXPECT_NE(err.find("noiseWarmupCycles"), std::string::npos) << err;
+
+    sim::SimConfig narrow = testConfig();
+    narrow.thermalParams.gridW = 1;
+    SweepMsg badGrid = testSweepRequest(1);
+    badGrid.setup = testSetup(narrow);
+    EXPECT_FALSE(client.sweep(badGrid, sweepOut, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+
     // The daemon survived all of it and still serves correctly.
     EXPECT_TRUE(client.ping(&err)) << err;
     expectBitIdentical(reference(), served(1));
 
-    EXPECT_EQ(server->statsSnapshot().requestsRejected, 3u);
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 5u);
 }
 
 TEST_F(ServeDeterminism, SweepCellSubsetFillsOnlyThoseSlots)

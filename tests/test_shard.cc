@@ -1,7 +1,8 @@
 /**
  * @file
  * Pure unit tests of the sharded sweep's building blocks: the
- * deterministic partitioner and the length-prefixed frame protocol.
+ * deterministic partitioner, the length-prefixed frame protocol and
+ * the setup blob codec.
  * No processes are spawned here — the end-to-end coordinator/worker
  * determinism and crash-reassignment tests live in
  * test_shard_run.cc (which needs a custom main for worker mode).
@@ -9,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "common/bytes.hh"
 #include "shard/partition.hh"
 #include "shard/protocol.hh"
+#include "shard/worker.hh"
 
 using namespace tg;
 using shard::Frame;
@@ -333,4 +336,86 @@ TEST(ShardProtocol, DecodersRejectTrailingGarbage)
     h.push_back(0xFF);
     shard::HelloMsg hout;
     EXPECT_FALSE(decodeHello(h, hout));
+}
+
+// --- setup blob ------------------------------------------------------
+
+TEST(ShardSetup, OldMagicIsRejected)
+{
+    // A pre-schema "TGB1" blob (top-level scalars only) must fail to
+    // decode instead of running with defaulted nested parameters.
+    auto blob = shard::encodeBasicSetup(shard::ChipKind::Mini, 2,
+                                        sim::SimConfig{});
+    shard::ChipKind kind{};
+    int chip_arg = 0;
+    sim::SimConfig cfg;
+    ASSERT_TRUE(shard::decodeBasicSetup(blob, kind, chip_arg, cfg));
+    ASSERT_EQ(blob[3], '2');
+    blob[3] = '1';
+    EXPECT_FALSE(shard::decodeBasicSetup(blob, kind, chip_arg, cfg));
+}
+
+TEST(ShardSetup, MutatedBlobsNeverCrashDecodeOrCheck)
+{
+    // Seeded byte-level mutants of a valid setup blob (bit flips,
+    // byte overwrites, truncations, insertions, deletions) through
+    // the decoder and sim::configError, the gates a served request
+    // passes before it builds a Simulation. Neither may crash; a
+    // mutant that passes both re-encodes to a stable blob.
+    const auto valid = shard::encodeBasicSetup(shard::ChipKind::Mini,
+                                               2, sim::SimConfig{});
+    std::mt19937_64 rng(0x7e5e7b10bull);
+    int decoded = 0;
+    int refused = 0;
+    for (int m = 0; m < 10000; ++m) {
+        std::vector<std::uint8_t> blob = valid;
+        const int edits = 1 + static_cast<int>(rng() % 4);
+        for (int e = 0; e < edits; ++e) {
+            const std::size_t at =
+                blob.empty() ? 0 : rng() % blob.size();
+            const auto byte = static_cast<std::uint8_t>(rng());
+            switch (rng() % 5) {
+            case 0:
+                if (!blob.empty())
+                    blob[at] ^= static_cast<std::uint8_t>(1u << (byte % 8));
+                break;
+            case 1:
+                if (!blob.empty())
+                    blob[at] = byte;
+                break;
+            case 2:
+                blob.resize(at);
+                break;
+            case 3:
+                blob.insert(blob.begin() + static_cast<long>(at), byte);
+                break;
+            default:
+                if (!blob.empty())
+                    blob.erase(blob.begin() + static_cast<long>(at));
+                break;
+            }
+        }
+        shard::ChipKind kind{};
+        int chip_arg = 0;
+        sim::SimConfig cfg;
+        if (!shard::decodeBasicSetup(blob, kind, chip_arg, cfg))
+            continue;
+        ++decoded;
+        if (!sim::configError(cfg).empty()) {
+            ++refused;
+            continue;
+        }
+        const auto again = shard::encodeBasicSetup(kind, chip_arg, cfg);
+        shard::ChipKind kind2{};
+        int chip_arg2 = 0;
+        sim::SimConfig cfg2;
+        ASSERT_TRUE(shard::decodeBasicSetup(again, kind2, chip_arg2, cfg2))
+            << "mutant " << m;
+        EXPECT_EQ(shard::encodeBasicSetup(kind2, chip_arg2, cfg2), again)
+            << "mutant " << m;
+    }
+    // Both gates saw real work, so the loop is not vacuous.
+    EXPECT_GT(decoded, 0);
+    EXPECT_GT(refused, 0);
+    EXPECT_LT(refused, decoded);
 }

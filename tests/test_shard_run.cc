@@ -144,6 +144,25 @@ TEST_F(ShardDeterminism, RecordOptionsTravelToWorkers)
     expectIdentical(ref, merged);
 }
 
+TEST_F(ShardDeterminism, NestedParamsTravelToWorkers)
+{
+    // Nested parameter structs ride the setup blob: workers run the
+    // hotter ambient and tighter emergency threshold too.
+    sim::SimConfig cfg = testConfig();
+    cfg.thermalParams.ambient = 60.0;
+    cfg.pdnParams.emergencyFrac = 0.05;
+
+    floorplan::Chip chip = floorplan::buildMiniChip(1);
+    sim::Simulation simulation(chip, cfg);
+    sim::SweepResult ref =
+        sim::runSweep(simulation, benchmarks, policies, false, 1);
+
+    ShardedSweepOptions sopt = options(2);
+    sopt.setup = encodeBasicSetup(ChipKind::Mini, 1, cfg);
+    sim::SweepResult merged = runShardedSweep(sopt);
+    expectIdentical(ref, merged);
+}
+
 TEST_F(ShardDeterminism, IntraWorkerThreadsKeepIdentity)
 {
     ShardedSweepOptions sopt = options(2);
