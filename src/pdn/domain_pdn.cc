@@ -63,12 +63,7 @@ pdnBaseKey(const floorplan::Chip &chip, int domain,
         .f64(design.responseTime)
         .f64(design.outputResistance)
         .f64(design.outputInductance);
-    h.f64(prm.nodePitch)
-        .f64(prm.sheetResistance)
-        .f64(prm.decapPerMm2)
-        .f64(prm.gridInductancePerM)
-        .f64(prm.cycleTime)
-        .f64(prm.emergencyFrac);
+    visitPdnParams(prm, [&](const char *, double v) { h.f64(v); });
     h.u64(sites.size());
     for (const auto &r : sites)
         h.f64(r.x).f64(r.y).f64(r.w).f64(r.h);

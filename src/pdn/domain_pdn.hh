@@ -78,6 +78,21 @@ struct PdnParams
     double emergencyFrac = 0.10; //!< voltage-emergency threshold
 };
 
+/** The fields of PdnParams, in key order: `v(dotted_name, field)`
+ *  for each. sim::visitConfig (the SimConfig schema) and the PDN-base
+ *  cache key both run off this list. */
+template <class P, class V>
+void
+visitPdnParams(P &p, V &&v)
+{
+    v("pdnParams.nodePitch", p.nodePitch);
+    v("pdnParams.sheetResistance", p.sheetResistance);
+    v("pdnParams.decapPerMm2", p.decapPerMm2);
+    v("pdnParams.gridInductancePerM", p.gridInductancePerM);
+    v("pdnParams.cycleTime", p.cycleTime);
+    v("pdnParams.emergencyFrac", p.emergencyFrac);
+}
+
 /** Result of one transient noise window. */
 struct NoiseResult
 {

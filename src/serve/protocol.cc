@@ -18,15 +18,29 @@ using bytes::ByteWriter;
 /** Cap on list element counts inside serve messages. */
 constexpr std::uint64_t kMaxListLen = 1ull << 24;
 
-void writeOpts(ByteWriter &w, std::uint8_t timeSeries,
-               std::uint8_t heatmap, std::uint8_t noiseTrace,
-               std::int64_t trackVr, std::int64_t noiseSamplesOverride)
+// The RecordOptions scalars: flags as u8, integers as i64.
+template <class Msg>
+void writeOpts(ByteWriter &w, const Msg &m)
 {
-    w.u8(timeSeries);
-    w.u8(heatmap);
-    w.u8(noiseTrace);
-    w.i64(trackVr);
-    w.i64(noiseSamplesOverride);
+    visitRecordOptions(m, [&](const auto &wire, auto) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(wire)>,
+                                     std::uint8_t>)
+            w.u8(wire);
+        else
+            w.i64(wire);
+    });
+}
+
+template <class Msg>
+void readOpts(ByteReader &r, Msg &m)
+{
+    visitRecordOptions(m, [&](auto &wire, auto) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(wire)>,
+                                     std::uint8_t>)
+            wire = r.u8();
+        else
+            wire = r.i64();
+    });
 }
 
 } // namespace
@@ -59,8 +73,7 @@ std::vector<std::uint8_t> encodeRun(const RunMsg &m)
     w.blob(m.setup);
     w.str(m.benchmark);
     w.u32(m.policy);
-    writeOpts(w, m.timeSeries, m.heatmap, m.noiseTrace, m.trackVr,
-              m.noiseSamplesOverride);
+    writeOpts(w, m);
     w.u64(m.deadlineMs);
     return w.take();
 }
@@ -72,11 +85,7 @@ bool decodeRun(const std::vector<std::uint8_t> &p, RunMsg &out)
         return false;
     out.benchmark = r.str();
     out.policy = r.u32();
-    out.timeSeries = r.u8();
-    out.heatmap = r.u8();
-    out.noiseTrace = r.u8();
-    out.trackVr = r.i64();
-    out.noiseSamplesOverride = r.i64();
+    readOpts(r, out);
     out.deadlineMs = r.u64();
     return r.exhausted();
 }
@@ -95,8 +104,7 @@ std::vector<std::uint8_t> encodeSweep(const SweepMsg &m)
     for (auto c : m.cells)
         w.u64(c);
     w.u32(m.jobs);
-    writeOpts(w, m.timeSeries, m.heatmap, m.noiseTrace, m.trackVr,
-              m.noiseSamplesOverride);
+    writeOpts(w, m);
     w.u64(m.deadlineMs);
     return w.take();
 }
@@ -125,11 +133,7 @@ bool decodeSweep(const std::vector<std::uint8_t> &p, SweepMsg &out)
     for (auto &c : out.cells)
         c = r.u64();
     out.jobs = r.u32();
-    out.timeSeries = r.u8();
-    out.heatmap = r.u8();
-    out.noiseTrace = r.u8();
-    out.trackVr = r.i64();
-    out.noiseSamplesOverride = r.i64();
+    readOpts(r, out);
     out.deadlineMs = r.u64();
     return r.exhausted();
 }

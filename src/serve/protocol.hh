@@ -2,10 +2,10 @@
  * @file
  * Payload codecs of the persistent sweep server.
  *
- * The server speaks the shard layer's TGS1 frame protocol over a
- * Unix-domain socket (shard/protocol.hh owns the frame layer and the
- * FrameType registry; this header owns the serve-side payloads). A
- * session is request/response:
+ * The server speaks the TGS1 frame protocol (shard/protocol.hh owns
+ * the frame layer and the FrameType registry; this header owns the
+ * payloads) over a Unix-domain socket, or over the inherited
+ * socketpair of a shard worker. A session is request/response:
  *
  *     client -> server : ServeRun | ServeSweep | ServeStats | Ping
  *                        | ServeCancel | Shutdown
@@ -20,11 +20,10 @@
  * errors, admission-control rejection (Busy, with a retry hint) and
  * cancellation/deadline abort.
  *
- * Every decoder is bounds-checked and rejects trailing garbage, same
- * rules as the shard messages. Results travel as
- * cache::encodeRunResult bytes, so a served cell is byte-comparable
- * against a locally computed one — the bit-identity contract the
- * serve tests assert.
+ * Every decoder is bounds-checked and rejects trailing garbage.
+ * Results travel as cache::encodeRunResult bytes, so a served cell
+ * is byte-comparable against a locally computed one — the
+ * bit-identity contract the serve and shard tests assert.
  */
 
 #ifndef TG_SERVE_PROTOCOL_HH
@@ -32,10 +31,12 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/store.hh"
 #include "shard/protocol.hh"
+#include "sim/result.hh"
 
 namespace tg {
 namespace serve {
@@ -44,15 +45,14 @@ namespace serve {
  * Client -> server: one simulation run. `setup` is a
  * shard::encodeBasicSetup blob (chip kind + the whole SimConfig
  * schema; a config sim::configError() refuses gets an Error reply);
- * the RecordOptions scalars ride explicitly, like the shard
- * protocol's SweepRequest.
+ * the RecordOptions scalars ride explicitly (visitRecordOptions).
  */
 struct RunMsg
 {
     std::vector<std::uint8_t> setup;
     std::string benchmark;
     std::uint32_t policy = 0;
-    // RecordOptions scalars (see sim/result.hh).
+    // RecordOptions scalars (see visitRecordOptions).
     std::uint8_t timeSeries = 0;
     std::uint8_t heatmap = 0;
     std::uint8_t noiseTrace = 0;
@@ -67,9 +67,11 @@ struct RunMsg
 /**
  * Client -> server: a benchmark x policy sweep (the full grid, or an
  * arbitrary cell subset in the canonical `b * policies.size() + p`
- * indexing). `jobs` requests intra-request parallelism; the server
- * clamps it to its own pool width. Results are bit-identical at any
- * jobs value, so the clamp cannot change a byte.
+ * indexing). `jobs` > 1 asks for intra-request parallelism: a
+ * listening daemon then fans out on its pool, an adopted one (a
+ * shard worker) on exactly `jobs` threads. Results are bit-identical
+ * at any width, so the choice cannot change a byte. A shard of a
+ * sharded sweep is one SweepMsg whose `cells` is the shard.
  */
 struct SweepMsg
 {
@@ -78,6 +80,7 @@ struct SweepMsg
     std::vector<std::uint32_t> policies;
     std::vector<std::uint64_t> cells; //!< empty = every grid cell
     std::uint32_t jobs = 1;
+    // RecordOptions scalars (see visitRecordOptions).
     std::uint8_t timeSeries = 0;
     std::uint8_t heatmap = 0;
     std::uint8_t noiseTrace = 0;
@@ -85,6 +88,49 @@ struct SweepMsg
     std::int64_t noiseSamplesOverride = -1;
     std::uint64_t deadlineMs = 0; //!< see RunMsg::deadlineMs
 };
+
+/**
+ * The RecordOptions scalars of a RunMsg or SweepMsg, each paired with
+ * its sim::RecordOptions field: `v(wire_field, &RecordOptions::f)`
+ * once per scalar, in wire order. The payload codecs and both
+ * conversions below run off this list, so a new scalar is one line
+ * here. (A fault scenario is a pointer and never travels; encode it
+ * in the setup blob instead.)
+ */
+template <class Msg, class V>
+void
+visitRecordOptions(Msg &m, V &&v)
+{
+    using O = sim::RecordOptions;
+    v(m.timeSeries, &O::timeSeries);
+    v(m.heatmap, &O::heatmap);
+    v(m.noiseTrace, &O::noiseTrace);
+    v(m.trackVr, &O::trackVr);
+    v(m.noiseSamplesOverride, &O::noiseSamplesOverride);
+}
+
+/** `base` with the message's RecordOptions scalars applied. */
+template <class Msg>
+sim::RecordOptions
+recordOptions(const Msg &m, sim::RecordOptions base = {})
+{
+    visitRecordOptions(m, [&](const auto &wire, auto field) {
+        using T = std::remove_reference_t<decltype(base.*field)>;
+        base.*field = static_cast<T>(wire);
+    });
+    return base;
+}
+
+/** Copy the RecordOptions scalars of `opts` onto a message. */
+template <class Msg>
+void
+setRecordOptions(Msg &m, const sim::RecordOptions &opts)
+{
+    visitRecordOptions(m, [&](auto &wire, auto field) {
+        wire = static_cast<std::remove_reference_t<decltype(wire)>>(
+            opts.*field);
+    });
+}
 
 /** Server -> client: one finished cell (cache::encodeRunResult). */
 struct CellMsg

@@ -99,8 +99,8 @@ struct Completion
 struct Ctx
 {
     std::uint64_t key = 0; //!< fnv1a over the setup blob
-    floorplan::Chip chip;  //!< owned: Simulation keeps a reference
-    sim::SimConfig cfg;
+    /** Owned chip + config: the Simulation keeps references. */
+    shard::WorkerSetup setup;
     std::unique_ptr<sim::Simulation> sim;
     sim::SweepContexts contexts; //!< per-pool-worker Simulations
 };
@@ -109,14 +109,16 @@ struct Ctx
 
 struct Server::Impl
 {
-    explicit Impl(const ServerOptions &o)
-        : options(o), pool(exec::resolveJobs(o.jobs))
+    Impl(const ServerOptions &o, shard::SetupFactory f)
+        : options(o), factory(std::move(f))
     {
     }
 
     ServerOptions options;
+    shard::SetupFactory factory;
 
-    int listenFd = -1;
+    int listenFd = -1;    //!< -1 when serving one adopted connection
+    int adoptedFd = -1;   //!< handed to the poll thread at start
     int wakeRead = -1;
     int wakeWrite = -1;
     bool running = false;
@@ -140,9 +142,11 @@ struct Server::Impl
     std::mutex compMu;
     std::vector<Completion> completions;
 
-    // Process-lifetime sweep pool; requests with jobs > 1 fan out on
-    // it so no request pays thread creation.
-    exec::ThreadPool pool;
+    // A listening daemon's process-lifetime sweep pool; requests with
+    // jobs > 1 fan out on it so no request pays thread creation. An
+    // adopted daemon has one client and no pool: each request spawns
+    // exactly its jobs' threads, as a batch runSweepCells does.
+    std::unique_ptr<exec::ThreadPool> pool;
 
     // Warm-context LRU, touched only by the executor thread. std::list
     // because a Ctx must never relocate: its Simulation holds a
@@ -235,10 +239,9 @@ struct Server::Impl
 
     // --- executor thread ---------------------------------------------
 
-    /** Resolve the warm context for a setup blob; null + error when
-     *  the blob is invalid. */
-    Ctx *contextFor(const std::vector<std::uint8_t> &setup,
-                    std::string *err)
+    /** Resolve the warm context for a setup blob. A blob the
+     *  factory refuses throws; execLoop turns that into an Error. */
+    Ctx &contextFor(const std::vector<std::uint8_t> &setup)
     {
         const std::uint64_t key =
             bytes::fnv1a(setup.data(), setup.size());
@@ -247,77 +250,42 @@ struct Server::Impl
                 continue;
             ctxCache.splice(ctxCache.begin(), ctxCache, it);
             contextsReused.fetch_add(1, std::memory_order_relaxed);
-            return &ctxCache.front();
+            return ctxCache.front();
         }
-        shard::ChipKind kind{};
-        int chip_arg = 0;
-        sim::SimConfig cfg;
-        if (!shard::decodeBasicSetup(setup, kind, chip_arg, cfg)) {
-            *err = "invalid setup blob";
-            return nullptr;
-        }
-        if (kind == shard::ChipKind::Mini &&
-            (chip_arg < 1 || chip_arg > 64)) {
-            *err = "mini chip core count out of range";
-            return nullptr;
-        }
-        const std::string why = sim::configError(cfg);
-        if (!why.empty()) {
-            *err = "invalid config: " + why;
-            return nullptr;
-        }
+        shard::WorkerSetup built = factory(setup);
         ctxCache.emplace_front();
         Ctx &ctx = ctxCache.front();
         ctx.key = key;
-        ctx.cfg = cfg;
-        ctx.chip = kind == shard::ChipKind::Power8
-                       ? floorplan::buildPower8Chip()
-                       : floorplan::buildMiniChip(chip_arg);
-        ctx.sim = std::make_unique<sim::Simulation>(ctx.chip, ctx.cfg);
+        ctx.setup = std::move(built);
+        ctx.sim = std::make_unique<sim::Simulation>(ctx.setup.chip,
+                                                    ctx.setup.cfg);
         contextsBuilt.fetch_add(1, std::memory_order_relaxed);
         const std::size_t cap = static_cast<std::size_t>(
             std::max(1, options.contextCacheSize));
         while (ctxCache.size() > cap)
             ctxCache.pop_back();
-        return &ctx;
+        return ctx;
     }
 
-    static sim::RecordOptions decodeOpts(std::uint8_t timeSeries,
-                                         std::uint8_t heatmap,
-                                         std::uint8_t noiseTrace,
-                                         std::int64_t trackVr,
-                                         std::int64_t samples)
+    /** Reject a request before it touches a context. */
+    void reject(const PendingRequest &req, const std::string &err)
     {
-        sim::RecordOptions opts;
-        opts.timeSeries = timeSeries != 0;
-        opts.heatmap = heatmap != 0;
-        opts.noiseTrace = noiseTrace != 0;
-        opts.trackVr = static_cast<int>(trackVr);
-        opts.noiseSamplesOverride = static_cast<int>(samples);
-        return opts;
+        requestsRejected.fetch_add(1, std::memory_order_relaxed);
+        postDone(req.connId, DoneStatus::Error, 0, err);
     }
 
     void executeRun(const PendingRequest &req)
     {
         const Clock::time_point t0 = Clock::now();
         const RunMsg &m = req.run;
-        std::string err;
-        if (!benchmarkExists(m.benchmark)) {
-            err = "unknown benchmark '" + m.benchmark + "'";
-        } else if (!policyExists(m.policy)) {
-            err = "unknown policy kind";
-        }
-        Ctx *ctx = err.empty() ? contextFor(m.setup, &err) : nullptr;
-        if (!ctx) {
-            requestsRejected.fetch_add(1, std::memory_order_relaxed);
-            postDone(req.connId, DoneStatus::Error, 0, err);
-            return;
-        }
-        sim::RecordOptions opts =
-            decodeOpts(m.timeSeries, m.heatmap, m.noiseTrace,
-                       m.trackVr, m.noiseSamplesOverride);
+        if (!benchmarkExists(m.benchmark))
+            return reject(req, "unknown benchmark '" + m.benchmark + "'");
+        if (!policyExists(m.policy))
+            return reject(req, "unknown policy kind");
+        Ctx &ctx = contextFor(m.setup);
+        sim::RecordOptions opts = recordOptions(m, ctx.setup.opts);
         opts.cancel = req.cancel.get();
-        sim::RunResult r = ctx->sim->run(
+        sim::RunResult r = ctx.sim->run(
             workload::profileByName(m.benchmark),
             static_cast<core::PolicyKind>(m.policy), opts);
         CellMsg cell;
@@ -357,12 +325,9 @@ struct Server::Impl
                     err = "sweep cell index out of range";
                     break;
                 }
-        Ctx *ctx = err.empty() ? contextFor(m.setup, &err) : nullptr;
-        if (!ctx) {
-            requestsRejected.fetch_add(1, std::memory_order_relaxed);
-            postDone(req.connId, DoneStatus::Error, 0, err);
-            return;
-        }
+        if (!err.empty())
+            return reject(req, err);
+        Ctx &ctx = contextFor(m.setup);
 
         std::vector<core::PolicyKind> policies;
         policies.reserve(m.policies.size());
@@ -379,9 +344,7 @@ struct Server::Impl
 
         const int jobs = static_cast<int>(
             std::min<std::uint32_t>(m.jobs, 4096));
-        sim::RecordOptions opts =
-            decodeOpts(m.timeSeries, m.heatmap, m.noiseTrace,
-                       m.trackVr, m.noiseSamplesOverride);
+        sim::RecordOptions opts = recordOptions(m, ctx.setup.opts);
         opts.cancel = req.cancel.get();
         std::atomic<std::uint64_t> streamed{0};
         // On cancellation runSweepCells throws after the completed
@@ -389,7 +352,7 @@ struct Server::Impl
         // status. Cells streamed before the trip still count.
         try {
             sim::runSweepCells(
-                *ctx->sim, m.benchmarks, policies, cells, jobs, opts,
+                *ctx.sim, m.benchmarks, policies, cells, jobs, opts,
                 [&](std::size_t cell, sim::RunResult &&r) {
                     CellMsg out;
                     out.cell = cell;
@@ -398,7 +361,7 @@ struct Server::Impl
                          encodeCell(out));
                     streamed.fetch_add(1, std::memory_order_relaxed);
                 },
-                &ctx->contexts, jobs > 1 ? &pool : nullptr);
+                &ctx.contexts, jobs > 1 ? pool.get() : nullptr);
         } catch (...) {
             cellsServed.fetch_add(streamed.load(),
                                   std::memory_order_relaxed);
@@ -661,6 +624,17 @@ struct Server::Impl
         // a client that stopped reading must not wedge shutdown.
         Clock::time_point drainDeadline{};
 
+        auto addConn = [&](int fd) {
+            io::setNonBlocking(fd, true);
+            const std::uint64_t id = nextId++;
+            Conn c;
+            c.fd = fd;
+            c.id = id;
+            conns.emplace(id, std::move(c));
+            if (options.verbose)
+                inform("tg_serve: client ", id, " connected");
+        };
+
         auto dropConn = [&](std::uint64_t id) {
             auto it = conns.find(id);
             if (it == conns.end())
@@ -674,7 +648,14 @@ struct Server::Impl
             conns.erase(it);
             if (options.verbose)
                 inform("tg_serve: client ", id, " dropped");
+            // An adopted connection is the daemon's only client: once
+            // it is gone there is nobody left to serve.
+            if (listenFd < 0)
+                stopping.store(true);
         };
+
+        if (adoptedFd >= 0)
+            addConn(adoptedFd);
 
         for (;;) {
             const bool draining = stopping.load();
@@ -688,10 +669,12 @@ struct Server::Impl
             std::vector<std::uint64_t> fdConn;
             fds.push_back({wakeRead, POLLIN, 0});
             fdConn.push_back(0);
-            if (!draining) {
+            const bool accepting = !draining && listenFd >= 0;
+            if (accepting) {
                 fds.push_back({listenFd, POLLIN, 0});
                 fdConn.push_back(0);
             }
+            const std::size_t firstConn = fds.size();
             for (auto &entry : conns) {
                 short events = POLLIN;
                 if (entry.second.outOff < entry.second.out.size())
@@ -744,25 +727,16 @@ struct Server::Impl
             }
 
             // Accept new clients.
-            if (!draining)
+            if (accepting)
                 for (;;) {
                     const int cfd = ::accept(listenFd, nullptr,
                                              nullptr);
                     if (cfd < 0)
                         break;
-                    io::setNonBlocking(cfd, true);
-                    const std::uint64_t id = nextId++;
-                    Conn c;
-                    c.fd = cfd;
-                    c.id = id;
-                    conns.emplace(id, std::move(c));
-                    if (options.verbose)
-                        inform("tg_serve: client ", id,
-                               " connected");
+                    addConn(cfd);
                 }
 
             // Service ready connections.
-            const std::size_t firstConn = draining ? 1 : 2;
             for (std::size_t k = firstConn; k < fds.size(); ++k) {
                 auto it = conns.find(fdConn[k]);
                 if (it == conns.end())
@@ -821,8 +795,8 @@ struct Server::Impl
     }
 };
 
-Server::Server(const ServerOptions &options)
-    : impl(std::make_unique<Impl>(options))
+Server::Server(const ServerOptions &options, shard::SetupFactory factory)
+    : impl(std::make_unique<Impl>(options, std::move(factory)))
 {
 }
 
@@ -840,21 +814,39 @@ Server::~Server()
 
 bool Server::start(std::string *err)
 {
-    // A client vanishing mid-reply must surface as a failed write,
-    // not a process-killing SIGPIPE.
-    std::signal(SIGPIPE, SIG_IGN);
-
     impl->listenFd = io::listenUnix(impl->options.socketPath, 16, err);
     if (impl->listenFd < 0)
         return false;
+    impl->pool = std::make_unique<exec::ThreadPool>(
+        exec::resolveJobs(impl->options.jobs));
     io::setNonBlocking(impl->listenFd, true);
+    if (!launch(err)) {
+        ::close(impl->listenFd);
+        impl->listenFd = -1;
+        return false;
+    }
+    if (impl->options.verbose)
+        inform("tg_serve: listening on ", impl->options.socketPath,
+               " (pool width ", impl->pool->threadCount(), ")");
+    return true;
+}
+
+bool Server::adopt(int fd, std::string *err)
+{
+    impl->adoptedFd = fd;
+    return launch(err);
+}
+
+bool Server::launch(std::string *err)
+{
+    // A client vanishing mid-reply must surface as a failed write,
+    // not a process-killing SIGPIPE.
+    std::signal(SIGPIPE, SIG_IGN);
 
     int pipefd[2] = {-1, -1};
     if (::pipe(pipefd) != 0) {
         if (err)
             *err = "pipe() failed";
-        ::close(impl->listenFd);
-        impl->listenFd = -1;
         return false;
     }
     impl->wakeRead = pipefd[0];
@@ -866,9 +858,6 @@ bool Server::start(std::string *err)
     impl->pollThread = std::thread([this] { impl->pollLoop(); });
     impl->execThread = std::thread([this] { impl->execLoop(); });
     impl->running = true;
-    if (impl->options.verbose)
-        inform("tg_serve: listening on ", impl->options.socketPath,
-               " (pool width ", impl->pool.threadCount(), ")");
     return true;
 }
 
@@ -888,7 +877,8 @@ void Server::wait()
     if (impl->execThread.joinable())
         impl->execThread.join();
     impl->running = false;
-    ::unlink(impl->options.socketPath.c_str());
+    if (impl->listenFd >= 0)
+        ::unlink(impl->options.socketPath.c_str());
 }
 
 const std::string &Server::socketPath() const
@@ -909,7 +899,7 @@ struct Server::Impl
     ServerOptions options;
 };
 
-Server::Server(const ServerOptions &options)
+Server::Server(const ServerOptions &options, shard::SetupFactory)
     : impl(std::make_unique<Impl>(options))
 {
 }
@@ -917,6 +907,16 @@ Server::Server(const ServerOptions &options)
 Server::~Server() = default;
 
 bool Server::start(std::string *err)
+{
+    return launch(err);
+}
+
+bool Server::adopt(int, std::string *err)
+{
+    return launch(err);
+}
+
+bool Server::launch(std::string *err)
 {
     if (err)
         *err = "the sweep server requires a POSIX host";

@@ -51,6 +51,15 @@
  * A connection whose outbound buffer exceeds maxOutboundBytes (a
  * reader that stopped reading mid-stream) is dropped and its request
  * cancelled.
+ *
+ * Two front doors, one daemon: start() listens on a Unix socket for
+ * any number of clients; adopt() serves one already-connected socket
+ * and stops when it closes. A shard worker is the latter on the
+ * socketpair its coordinator handed it (shard/worker.hh), so the
+ * sharded sweep and the served sweep run the same executor. With
+ * one client there is nothing to amortise a pool over, so an
+ * adopted daemon keeps none: each sweep runs exactly its request's
+ * jobs threads.
  */
 
 #ifndef TG_SERVE_SERVER_HH
@@ -63,15 +72,17 @@
 #include <thread>
 
 #include "serve/protocol.hh"
+#include "shard/worker.hh"
 
 namespace tg {
 namespace serve {
 
 struct ServerOptions
 {
-    std::string socketPath; //!< required (resolveSocketPath helps)
-    /** Sweep pool width; 0 = exec::resolveJobs ladder (TG_JOBS,
-     *  hardware concurrency). */
+    std::string socketPath; //!< start() binds it (resolveSocketPath helps)
+    /** Sweep pool width of a listening daemon; 0 = exec::resolveJobs
+     *  ladder (TG_JOBS, hardware concurrency). An adopted connection
+     *  gets no pool: a request's own jobs size its fan-out. */
     int jobs = 0;
     /** Warm simulation contexts kept (LRU); each holds a chip's
      *  factorisations, predictor fit and per-worker Simulations. */
@@ -90,7 +101,11 @@ struct ServerOptions
 class Server
 {
   public:
-    explicit Server(const ServerOptions &options);
+    /** `factory` turns a request's setup blob into its simulation
+     *  context; a blob it throws on gets a DoneStatus::Error reply. */
+    explicit Server(const ServerOptions &options,
+                    shard::SetupFactory factory =
+                        shard::basicSetupFactory());
     ~Server();
 
     Server(const Server &) = delete;
@@ -100,6 +115,14 @@ class Server
      *  message in *err) when the socket cannot be claimed — e.g. a
      *  live server already owns the path. */
     bool start(std::string *err);
+
+    /**
+     * Serve the connected socket `fd` (ownership passes to the
+     * server) instead of listening: no path is bound, and the daemon
+     * drains and stops once that connection closes — mid-sweep too,
+     * since a disconnect cancels the in-flight request.
+     */
+    bool adopt(int fd, std::string *err);
 
     /**
      * Begin a graceful drain: stop accepting connections, finish
@@ -118,6 +141,8 @@ class Server
     StatsReplyMsg statsSnapshot() const;
 
   private:
+    bool launch(std::string *err); //!< spawn the service threads
+
     struct Impl;
     std::unique_ptr<Impl> impl;
 };

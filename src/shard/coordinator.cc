@@ -4,27 +4,26 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <deque>
-#include <map>
 #include <set>
 
 #ifdef __unix__
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
 
-#include <cstdio>
-#include <ctime>
-
 #include "cache/serialize.hh"
-#include "common/exec.hh"
 #include "common/logging.hh"
 #include "core/policy.hh"
+#include "serve/protocol.hh"
 #include "shard/partition.hh"
-#include "shard/protocol.hh"
 #include "shard/worker.hh"
 #include "workload/profile.hh"
 
@@ -37,31 +36,94 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** The binary a worker re-execs: this one. */
+constexpr const char *kSelfExe = "/proc/self/exe";
+
+/** Liveness Ping period; a worker's poll thread answers each. */
+constexpr auto kPingPeriod = std::chrono::milliseconds(200);
+
+/** A busy worker silent this long is hung: killed, cells requeued. */
+constexpr auto kSilenceTimeout = std::chrono::seconds(30);
+
 /** Coordinator-side view of one worker process. */
 struct Worker
 {
     pid_t pid = -1;
-    int toFd = -1;   //!< coordinator -> worker requests
-    int fromFd = -1; //!< worker -> coordinator results
+    int fd = -1; //!< our end of the worker's socketpair
     FrameParser parser;
     Clock::time_point lastActivity;
     bool alive = false;
-    bool busy = false;
-    /** In-flight shards: id -> cells not yet received. */
-    std::map<std::uint64_t, std::set<std::uint64_t>> outstanding;
+    bool busy = false; //!< a shard is in flight (until its ServeDone)
+    /** Cells of the in-flight shard not yet received. */
+    std::set<std::uint64_t> outstanding;
+    long cellsMerged = 0; //!< for the TG_SHARD_TEST_DIE hook
 };
 
-std::string selfBinaryPath()
+/** Parsed TG_SHARD_TEST_DIE hook (see coordinator.hh). */
+struct DieHook
 {
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    TG_ASSERT(n > 0, "cannot resolve /proc/self/exe; pass "
-                     "ShardedSweepOptions::binaryPath explicitly");
-    buf[n] = '\0';
-    return std::string(buf);
+    long worker = -1; //!< -1 = disarmed
+    long afterCells = 0;
+
+    bool fires(std::size_t w, long merged) const
+    {
+        return static_cast<long>(w) == worker && merged == afterCells;
+    }
+};
+
+DieHook parseDieHook()
+{
+    DieHook hook;
+    const char *env = std::getenv("TG_SHARD_TEST_DIE");
+    if (!env || !*env)
+        return hook;
+    unsigned worker = 0;
+    long after = 0;
+    if (std::sscanf(env, "%u:%ld", &worker, &after) == 2) {
+        hook.worker = worker;
+        hook.afterCells = after;
+    } else {
+        warn("TG_SHARD_TEST_DIE value '", env,
+             "' is not '<worker>:<afterCells>'; ignoring");
+    }
+    return hook;
 }
 
 } // namespace
+
+int spawnWorker(int *fd)
+{
+    // Close-on-exec: no worker inherits a sibling's socket, so each
+    // sees EOF as soon as the coordinator's end closes.
+    int sv[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+        return -1;
+
+    char *argv[] = {const_cast<char *>(kSelfExe),
+                    const_cast<char *>(kWorkerFlag), nullptr};
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        // dup2 clears close-on-exec on the worker's end; fcntl does
+        // when the end already sits on kWorkerFd.
+        const int rc = sv[1] == kWorkerFd
+                           ? ::fcntl(kWorkerFd, F_SETFD, 0)
+                           : ::dup2(sv[1], kWorkerFd);
+        if (rc >= 0)
+            ::execv(kSelfExe, argv);
+        static const char msg[] = "shard worker: exec failed\n";
+        (void)!::write(STDERR_FILENO, msg, sizeof msg - 1);
+        ::_exit(127);
+    }
+    const int saved = errno;
+    ::close(sv[1]);
+    if (pid < 0) {
+        ::close(sv[0]);
+        errno = saved;
+        return -1;
+    }
+    *fd = sv[0];
+    return pid;
+}
 
 sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
                                  ShardedSweepStats *stats_out)
@@ -103,72 +165,23 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
         queue.push_back(std::move(shard));
     stats.shardsPlanned = static_cast<int>(queue.size());
 
-    const std::string binary = options.binaryPath.empty()
-                                   ? selfBinaryPath()
-                                   : options.binaryPath;
-
-    SweepRequestMsg req;
-    req.jobs = static_cast<std::uint32_t>(
-        std::max(0, options.jobsPerWorker));
-    req.heartbeatMs = static_cast<std::uint32_t>(
-        std::max(1, options.heartbeatMs));
+    // Every shard is this request with its own cell list.
+    serve::SweepMsg req;
     req.setup = options.setup;
     req.benchmarks = benchmarks;
-    req.policies.reserve(policies.size());
     for (auto pk : policies)
         req.policies.push_back(static_cast<std::uint32_t>(pk));
-    req.timeSeries = options.opts.timeSeries ? 1 : 0;
-    req.heatmap = options.opts.heatmap ? 1 : 0;
-    req.noiseTrace = options.opts.noiseTrace ? 1 : 0;
-    req.trackVr = options.opts.trackVr;
-    req.noiseSamplesOverride = options.opts.noiseSamplesOverride;
+    req.jobs = static_cast<std::uint32_t>(
+        std::max(0, options.jobsPerWorker));
+    serve::setRecordOptions(req, options.opts);
 
-    std::vector<Worker> workers(
-        static_cast<std::size_t>(processes));
-    for (int i = 0; i < processes; ++i) {
-        int to_pipe[2] = {-1, -1};   // coordinator -> worker
-        int from_pipe[2] = {-1, -1}; // worker -> coordinator
-        TG_ASSERT(::pipe(to_pipe) == 0 && ::pipe(from_pipe) == 0,
-                  "pipe() failed spawning shard worker");
-        pid_t pid = ::fork();
-        TG_ASSERT(pid >= 0, "fork() failed spawning shard worker");
-        if (pid == 0) {
-            // Child: drop every sibling coordinator-side descriptor,
-            // park this worker's two protocol ends on fds >= 10 (the
-            // raw pipe fds may themselves be 3 or 4, so dup2-ing
-            // directly could clobber an end we still need), then
-            // move them to their fixed protocol fds.
-            for (const Worker &w : workers) {
-                if (w.toFd >= 0)
-                    ::close(w.toFd);
-                if (w.fromFd >= 0)
-                    ::close(w.fromFd);
-            }
-            int in_tmp = ::fcntl(to_pipe[0], F_DUPFD, 10);
-            int out_tmp = ::fcntl(from_pipe[1], F_DUPFD, 10);
-            ::close(to_pipe[0]);
-            ::close(to_pipe[1]);
-            ::close(from_pipe[0]);
-            ::close(from_pipe[1]);
-            if (in_tmp < 0 || out_tmp < 0 ||
-                ::dup2(in_tmp, kWorkerInFd) < 0 ||
-                ::dup2(out_tmp, kWorkerOutFd) < 0)
-                ::_exit(126);
-            ::close(in_tmp);
-            ::close(out_tmp);
-            char *argv[] = {const_cast<char *>(binary.c_str()),
-                            const_cast<char *>(kWorkerFlag), nullptr};
-            ::execv(binary.c_str(), argv);
-            std::fprintf(stderr, "shard worker: exec %s failed: %s\n",
-                         binary.c_str(), std::strerror(errno));
-            ::_exit(127);
-        }
-        ::close(to_pipe[0]);
-        ::close(from_pipe[1]);
-        Worker &w = workers[static_cast<std::size_t>(i)];
-        w.pid = pid;
-        w.toFd = to_pipe[1];
-        w.fromFd = from_pipe[0];
+    const DieHook die = parseDieHook();
+
+    std::vector<Worker> workers(static_cast<std::size_t>(processes));
+    for (Worker &w : workers) {
+        w.pid = spawnWorker(&w.fd);
+        TG_ASSERT(w.pid > 0, "cannot spawn a shard worker: ",
+                  std::strerror(errno));
         w.alive = true;
         w.lastActivity = Clock::now();
         ++stats.workersSpawned;
@@ -176,15 +189,11 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
 
     std::vector<bool> received(n_cells, false);
     std::size_t receivedCount = 0;
-    std::uint64_t nextShardId = 0;
-    exec::ProgressSink sink(options.progress, n_cells);
 
     auto reap = [](Worker &w) {
-        if (w.toFd >= 0)
-            ::close(w.toFd);
-        if (w.fromFd >= 0)
-            ::close(w.fromFd);
-        w.toFd = w.fromFd = -1;
+        if (w.fd >= 0)
+            ::close(w.fd);
+        w.fd = -1;
         if (w.pid > 0) {
             ::kill(w.pid, SIGKILL);
             ::waitpid(w.pid, nullptr, 0);
@@ -193,71 +202,54 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
     };
 
     // Death handling: reap the process and re-queue every cell it
-    // was assigned but never delivered. The remnants go to the front
-    // of the queue — they are the oldest work and likely block sweep
+    // was assigned but never delivered. The remnant goes to the front
+    // of the queue — it is the oldest work and likely blocks sweep
     // completion.
     auto onDeath = [&](Worker &w) {
         if (!w.alive)
             return;
         w.alive = false;
+        w.busy = false;
         ++stats.workerDeaths;
         reap(w);
-        for (auto &entry : w.outstanding) {
-            std::vector<std::uint64_t> remnant(entry.second.begin(),
-                                               entry.second.end());
-            if (remnant.empty())
-                continue;
-            queue.push_front(std::move(remnant));
+        if (!w.outstanding.empty()) {
+            queue.emplace_front(w.outstanding.begin(),
+                                w.outstanding.end());
             ++stats.shardsReassigned;
         }
         w.outstanding.clear();
     };
 
-    auto dispatch = [&](Worker &w) {
+    auto dispatch = [&](std::size_t i) {
+        Worker &w = workers[i];
         if (!w.alive || w.busy || queue.empty())
             return;
-        ShardAssignmentMsg assign;
-        assign.shard = nextShardId++;
-        assign.cells = std::move(queue.front());
+        req.cells = std::move(queue.front());
         queue.pop_front();
-        w.outstanding[assign.shard] = std::set<std::uint64_t>(
-            assign.cells.begin(), assign.cells.end());
-        if (!writeFrameToFd(w.toFd, FrameType::ShardAssignment,
-                        encodeShardAssignment(assign))) {
+        w.outstanding.insert(req.cells.begin(), req.cells.end());
+        w.busy = true;
+        if (!writeFrameToFd(w.fd, FrameType::ServeSweep,
+                            serve::encodeSweep(req))) {
             onDeath(w);
             return;
         }
-        w.busy = true;
         ++stats.shardsDispatched;
+        if (die.fires(i, w.cellsMerged))
+            onDeath(w);
     };
 
-    for (std::size_t i = 0; i < workers.size(); ++i) {
+    auto handleFrame = [&](std::size_t i, const Frame &frame) -> bool {
         Worker &w = workers[i];
-        req.workerId = static_cast<std::uint32_t>(i);
-        if (!writeFrameToFd(w.toFd, FrameType::SweepRequest,
-                        encodeSweepRequest(req)))
-            onDeath(w);
-    }
-
-    auto handleFrame = [&](Worker &w, const Frame &frame) -> bool {
         w.lastActivity = Clock::now();
         switch (frame.type) {
-        case FrameType::Hello: {
-            HelloMsg hello;
-            if (!decodeHello(frame.payload, hello) ||
-                hello.version != kProtocolVersion)
-                return false;
+        case FrameType::Pong:
             return true;
-        }
-        case FrameType::Heartbeat:
-            return true;
-        case FrameType::CellResult: {
-            CellResultMsg m;
-            if (!decodeCellResult(frame.payload, m) ||
-                m.cell >= n_cells)
-                return false;
+        case FrameType::ServeCell: {
+            serve::CellMsg m;
             sim::RunResult r;
-            if (!cache::decodeRunResult(m.result.data(),
+            if (!serve::decodeCell(frame.payload, m) ||
+                !w.outstanding.count(m.cell) ||
+                !cache::decodeRunResult(m.result.data(),
                                         m.result.size(), r))
                 return false;
             const std::size_t b = m.cell / policies.size();
@@ -265,12 +257,9 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
             // The payload must describe the cell it claims to be —
             // a worker answering the wrong cell would silently skew
             // the merge otherwise.
-            if (r.benchmark != benchmarks[b] ||
-                r.policy != policies[p])
+            if (r.benchmark != benchmarks[b] || r.policy != policies[p])
                 return false;
-            auto shardIt = w.outstanding.find(m.shard);
-            if (shardIt != w.outstanding.end())
-                shardIt->second.erase(m.cell);
+            w.outstanding.erase(m.cell);
             if (received[m.cell]) {
                 // A reassigned shard overlapped with results the
                 // dead worker managed to flush first: determinism
@@ -279,19 +268,23 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
             } else {
                 received[m.cell] = true;
                 ++receivedCount;
-                sink.completed(sim::progressLine(r));
             }
             sweep.results[b][p] = std::move(r);
-            return true;
+            // A firing test hook stops the drain; the worker is
+            // killed below.
+            return !die.fires(i, ++w.cellsMerged);
         }
-        case FrameType::ShardDone: {
-            ShardDoneMsg done;
-            if (!decodeShardDone(frame.payload, done))
+        case FrameType::ServeDone: {
+            serve::DoneMsg done;
+            if (!serve::decodeDone(frame.payload, done) || !w.busy)
                 return false;
-            auto it = w.outstanding.find(done.shard);
-            if (it == w.outstanding.end() || !it->second.empty())
+            if (!done.ok)
+                fatal("sharded sweep: worker ", i, " refused a shard (",
+                      serve::doneStatusName(
+                          static_cast<serve::DoneStatus>(done.status)),
+                      "): ", done.error);
+            if (!w.outstanding.empty())
                 return false; // done without delivering every cell
-            w.outstanding.erase(it);
             w.busy = false;
             return true;
         }
@@ -300,11 +293,12 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
         }
     };
 
+    Clock::time_point lastPing = Clock::now();
     while (receivedCount < n_cells) {
         bool anyAlive = false;
-        for (auto &w : workers) {
-            dispatch(w);
-            anyAlive = anyAlive || w.alive;
+        for (std::size_t i = 0; i < workers.size(); ++i) {
+            dispatch(i);
+            anyAlive = anyAlive || workers[i].alive;
         }
         if (!anyAlive)
             fatal("sharded sweep: every worker died with ",
@@ -316,73 +310,74 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
         for (std::size_t i = 0; i < workers.size(); ++i) {
             if (!workers[i].alive)
                 continue;
-            fds.push_back({workers[i].fromFd, POLLIN, 0});
+            fds.push_back({workers[i].fd, POLLIN, 0});
             fdWorker.push_back(i);
         }
-        int rv = ::poll(fds.data(),
-                        static_cast<nfds_t>(fds.size()), 100);
+        const int rv = ::poll(fds.data(),
+                              static_cast<nfds_t>(fds.size()), 100);
         if (rv < 0 && errno != EINTR)
             fatal("sharded sweep: poll() failed: ",
                   std::strerror(errno));
 
         for (std::size_t k = 0; k < fds.size(); ++k) {
-            Worker &w = workers[fdWorker[k]];
+            const std::size_t i = fdWorker[k];
+            Worker &w = workers[i];
             if (!w.alive ||
                 !(fds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
-            switch (pumpFrames(w.fromFd, w.parser,
-                               [&](const Frame &frame) {
-                                   return handleFrame(w, frame);
-                               })) {
-            case PumpStatus::Ok:
-                break;
-            case PumpStatus::Eof:
-            case PumpStatus::Error:
+            const PumpStatus st =
+                pumpFrames(w.fd, w.parser, [&](const Frame &frame) {
+                    return handleFrame(i, frame);
+                });
+            if (die.fires(i, w.cellsMerged) || st == PumpStatus::Eof ||
+                st == PumpStatus::Error) {
                 onDeath(w);
-                break;
-            case PumpStatus::Corrupt:
-            case PumpStatus::Rejected:
-                warn("sharded sweep: worker ", fdWorker[k],
+            } else if (st != PumpStatus::Ok) {
+                warn("sharded sweep: worker ", i,
                      " sent a malformed stream; reassigning its "
                      "shards");
                 onDeath(w);
-                break;
             }
         }
 
-        if (options.timeoutMs > 0) {
-            const auto now = Clock::now();
-            for (std::size_t i = 0; i < workers.size(); ++i) {
-                Worker &w = workers[i];
-                if (!w.alive || !w.busy)
-                    continue;
-                const auto silent =
-                    std::chrono::duration_cast<
-                        std::chrono::milliseconds>(
-                        now - w.lastActivity)
-                        .count();
-                if (silent > options.timeoutMs) {
-                    warn("sharded sweep: worker ", i, " silent for ",
-                         silent, " ms; killing and reassigning");
-                    onDeath(w);
-                }
+        const auto now = Clock::now();
+        const bool ping = now - lastPing >= kPingPeriod;
+        if (ping)
+            lastPing = now;
+        for (std::size_t i = 0; i < workers.size(); ++i) {
+            Worker &w = workers[i];
+            if (!w.alive)
+                continue;
+            if (w.busy && now - w.lastActivity > kSilenceTimeout) {
+                warn("sharded sweep: worker ", i, " silent for ",
+                     std::chrono::duration_cast<
+                         std::chrono::milliseconds>(
+                         now - w.lastActivity)
+                         .count(),
+                     " ms; killing and reassigning");
+                onDeath(w);
+            } else if (ping &&
+                       !writeFrameToFd(w.fd, FrameType::Ping, {})) {
+                onDeath(w);
             }
         }
     }
 
-    // Clean shutdown: ask nicely, then reap. A worker ignoring the
-    // request is killed by reap()'s SIGKILL before waitpid.
-    for (auto &w : workers) {
+    // Hang up: a worker's daemon drains and exits once its socket
+    // closes. Close every socket first so the workers wind down in
+    // parallel, give each a moment to exit on its own (so the common
+    // path reaps a clean exit status), then reap() SIGKILLs any
+    // straggler.
+    for (Worker &w : workers)
+        if (w.alive) {
+            ::close(w.fd);
+            w.fd = -1;
+        }
+    for (Worker &w : workers) {
         if (!w.alive)
             continue;
-        writeFrameToFd(w.toFd, FrameType::Shutdown, {});
-        ::close(w.toFd);
-        w.toFd = -1;
-        // Give the worker a moment to exit on its own so the common
-        // path reaps a clean exit status rather than a SIGKILL.
-        for (int spin = 0; spin < 200; ++spin) {
-            pid_t got = ::waitpid(w.pid, nullptr, WNOHANG);
-            if (got == w.pid) {
+        for (int spin = 0; spin < 200 && w.pid > 0; ++spin) {
+            if (::waitpid(w.pid, nullptr, WNOHANG) == w.pid) {
                 w.pid = -1;
                 break;
             }
@@ -399,6 +394,11 @@ sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
 }
 
 #else // !__unix__
+
+int spawnWorker(int *)
+{
+    return -1;
+}
 
 sim::SweepResult runShardedSweep(const ShardedSweepOptions &,
                                  ShardedSweepStats *)

@@ -4,26 +4,39 @@
  *
  * runShardedSweep() partitions the (benchmark x policy) grid into
  * guided-size shards (shard/partition.hh), spawns N worker processes
- * by re-execing the current binary in `--tg-worker` mode, dispatches
- * shards dynamically to idle workers over the length-prefixed frame
- * protocol (shard/protocol.hh), and merges the streamed per-cell
- * results by their canonical grid key.
+ * by re-execing the current binary in `--tg-worker` mode, each on
+ * one end of a socketpair, and dispatches shards dynamically to idle
+ * workers. A worker is the sweep daemon adopting that socket
+ * (shard/worker.hh), so the coordinator is a serve client of N
+ * daemons at once: a shard goes out as a ServeSweep whose cell list
+ * is the shard, its cells stream back as ServeCell frames closed by
+ * a ServeDone (serve/protocol.hh), and the merge keys each result by
+ * its canonical grid cell.
  *
- * Determinism contract (the process-level extension of the PR 1/3/6
- * thread contract): every cell's RunResult is a deterministic
+ * Determinism contract (the process-level extension of the thread
+ * pool's contract): every cell's RunResult is a deterministic
  * function of (chip, config, benchmark, policy, opts) alone and the
  * codec is bit-exact, so the merged SweepResult is bit-identical to
  * a single-process runSweep() — regardless of worker count, shard
  * sizing, arrival order, or which worker ran which shard.
  *
- * Fault handling: a worker that exits, closes its pipe, corrupts its
- * stream, or goes silent past the heartbeat timeout is killed and
- * its *unacknowledged* cells (assigned minus already received) are
+ * Fault handling: the coordinator Pings every worker every 200 ms
+ * and the daemon's poll thread answers, so a busy worker that stays
+ * silent for 30 s is hung, not slow. A worker that exits, closes its
+ * socket, corrupts its stream, or goes silent is killed and its
+ * *unacknowledged* cells (assigned minus already received) are
  * re-queued for the survivors. Per-cell idempotency is free — a cell
  * computed twice yields the same bits, and the merge keys by cell,
  * so reassignment can never skew the result. When the last worker
  * dies with work outstanding the sweep fatals rather than returning
- * a partial grid.
+ * a partial grid; so does a shard the daemon refuses (a non-Ok
+ * ServeDone), since the coordinator built the request itself.
+ *
+ * Test hook: TG_SHARD_TEST_DIE="<worker>:<afterCells>" makes the
+ * coordinator SIGKILL worker `worker` right after merging its
+ * `afterCells`-th cell, or at its first dispatch when `afterCells`
+ * is 0 — the crash-reassignment tests kill a worker mid-shard with
+ * it.
  */
 
 #ifndef TG_SHARD_COORDINATOR_HH
@@ -53,8 +66,8 @@ struct ShardedSweepOptions
     /** Worker process count (clamped to >= 1). */
     int processes = 2;
 
-    /** Threads inside each worker (runSweepCells jobs); 0 defers to
-     *  the worker-side TG_JOBS / hardware ladder. */
+    /** Threads inside each worker (every shard's `jobs`); 0 defers
+     *  to the worker-side TG_JOBS / hardware ladder. */
     int jobsPerWorker = 1;
 
     /** RecordOptions forwarded to every cell. Scalar fields travel
@@ -62,29 +75,15 @@ struct ShardedSweepOptions
      *  instead (faultScenario here must stay null). */
     sim::RecordOptions opts;
 
-    /** Print one progress line per merged cell (same format as
-     *  runSweep's). */
-    bool progress = false;
-
-    /** Worker heartbeat period [ms]. */
-    int heartbeatMs = 200;
-
-    /** Kill a worker silent for this long [ms]; 0 disables the
-     *  timeout (exit/EOF detection still applies). */
-    int timeoutMs = 30000;
-
     /** Partitioner shard-size floor (see partitionCells). */
     std::size_t minShardCells = 1;
-
-    /** Worker binary; empty resolves /proc/self/exe. */
-    std::string binaryPath;
 };
 
 /** Observable outcomes of a sharded sweep (tests, logs). */
 struct ShardedSweepStats
 {
     int workersSpawned = 0;
-    int workerDeaths = 0;    //!< exits, EOFs, corruption, timeouts
+    int workerDeaths = 0;    //!< exits, EOFs, corruption, silences
     int shardsPlanned = 0;   //!< initial partition size
     int shardsDispatched = 0;
     int shardsReassigned = 0; //!< re-queued remnants of dead workers
@@ -98,6 +97,14 @@ struct ShardedSweepStats
  */
 sim::SweepResult runShardedSweep(const ShardedSweepOptions &options,
                                  ShardedSweepStats *stats = nullptr);
+
+/**
+ * Start one worker: fork and re-exec this binary (/proc/self/exe) in
+ * `--tg-worker` mode on one end of a fresh socketpair, which the
+ * child sees as fd 3. Stores the coordinator's end in *fd and returns
+ * the child's pid, or -1 with errno set.
+ */
+int spawnWorker(int *fd);
 
 } // namespace shard
 } // namespace tg

@@ -14,14 +14,10 @@ namespace shard {
 
 namespace {
 
-using bytes::ByteReader;
 using bytes::ByteWriter;
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kChecksumBytes = 8;
-
-/** Cap on string/vector element counts inside messages. */
-constexpr std::uint64_t kMaxListLen = 1ull << 24;
 
 std::uint64_t readU64At(const std::uint8_t *q)
 {
@@ -43,7 +39,7 @@ std::uint32_t readU32At(const std::uint8_t *q)
 
 bool frameTypeValid(std::uint32_t t)
 {
-    return t >= static_cast<std::uint32_t>(FrameType::Hello) &&
+    return t >= static_cast<std::uint32_t>(FrameType::Shutdown) &&
            t <= static_cast<std::uint32_t>(FrameType::ServeCancel);
 }
 
@@ -158,134 +154,6 @@ PumpStatus pumpFrames(int, FrameParser &,
 }
 
 #endif // __unix__
-
-// --- message payloads -------------------------------------------------
-
-std::vector<std::uint8_t> encodeHello(const HelloMsg &m)
-{
-    ByteWriter w;
-    w.u32(m.version);
-    w.u64(m.pid);
-    return w.take();
-}
-
-bool decodeHello(const std::vector<std::uint8_t> &p, HelloMsg &out)
-{
-    ByteReader r(p.data(), p.size());
-    out.version = r.u32();
-    out.pid = r.u64();
-    return r.exhausted();
-}
-
-std::vector<std::uint8_t> encodeSweepRequest(const SweepRequestMsg &m)
-{
-    ByteWriter w;
-    w.u32(m.workerId);
-    w.u32(m.jobs);
-    w.u32(m.heartbeatMs);
-    w.blob(m.setup);
-    w.u64(m.benchmarks.size());
-    for (const auto &b : m.benchmarks)
-        w.str(b);
-    w.u64(m.policies.size());
-    for (auto pk : m.policies)
-        w.u32(pk);
-    w.u8(m.timeSeries);
-    w.u8(m.heatmap);
-    w.u8(m.noiseTrace);
-    w.i64(m.trackVr);
-    w.i64(m.noiseSamplesOverride);
-    return w.take();
-}
-
-bool decodeSweepRequest(const std::vector<std::uint8_t> &p,
-                        SweepRequestMsg &out)
-{
-    ByteReader r(p.data(), p.size());
-    out.workerId = r.u32();
-    out.jobs = r.u32();
-    out.heartbeatMs = r.u32();
-    if (!r.blob(out.setup))
-        return false;
-    const std::uint64_t nb = r.u64();
-    if (!r.ok() || nb > kMaxListLen)
-        return false;
-    out.benchmarks.resize(static_cast<std::size_t>(nb));
-    for (auto &b : out.benchmarks)
-        b = r.str();
-    const std::uint64_t np = r.u64();
-    if (!r.ok() || np > kMaxListLen)
-        return false;
-    out.policies.resize(static_cast<std::size_t>(np));
-    for (auto &pk : out.policies)
-        pk = r.u32();
-    out.timeSeries = r.u8();
-    out.heatmap = r.u8();
-    out.noiseTrace = r.u8();
-    out.trackVr = r.i64();
-    out.noiseSamplesOverride = r.i64();
-    return r.exhausted();
-}
-
-std::vector<std::uint8_t>
-encodeShardAssignment(const ShardAssignmentMsg &m)
-{
-    ByteWriter w;
-    w.u64(m.shard);
-    w.u64(m.cells.size());
-    for (auto c : m.cells)
-        w.u64(c);
-    return w.take();
-}
-
-bool decodeShardAssignment(const std::vector<std::uint8_t> &p,
-                           ShardAssignmentMsg &out)
-{
-    ByteReader r(p.data(), p.size());
-    out.shard = r.u64();
-    const std::uint64_t n = r.u64();
-    if (!r.ok() || n > kMaxListLen)
-        return false;
-    out.cells.resize(static_cast<std::size_t>(n));
-    for (auto &c : out.cells)
-        c = r.u64();
-    return r.exhausted();
-}
-
-std::vector<std::uint8_t> encodeCellResult(const CellResultMsg &m)
-{
-    ByteWriter w;
-    w.u64(m.shard);
-    w.u64(m.cell);
-    w.blob(m.result);
-    return w.take();
-}
-
-bool decodeCellResult(const std::vector<std::uint8_t> &p,
-                      CellResultMsg &out)
-{
-    ByteReader r(p.data(), p.size());
-    out.shard = r.u64();
-    out.cell = r.u64();
-    if (!r.blob(out.result))
-        return false;
-    return r.exhausted();
-}
-
-std::vector<std::uint8_t> encodeShardDone(const ShardDoneMsg &m)
-{
-    ByteWriter w;
-    w.u64(m.shard);
-    return w.take();
-}
-
-bool decodeShardDone(const std::vector<std::uint8_t> &p,
-                     ShardDoneMsg &out)
-{
-    ByteReader r(p.data(), p.size());
-    out.shard = r.u64();
-    return r.exhausted();
-}
 
 } // namespace shard
 } // namespace tg

@@ -3,30 +3,25 @@
  * Worker side of the sharded multi-process sweep.
  *
  * The coordinator re-execs the *current binary* with a hidden
- * `--tg-worker` argument and two inherited pipe fds (requests on fd
- * 3, results on fd 4). A participating binary's main() therefore
- * starts with:
+ * `--tg-worker` argument and one end of a socketpair on fd 3 (see
+ * spawnWorker in coordinator.hh). A participating binary's main()
+ * therefore starts with:
  *
  *     if (shard::isWorkerInvocation(argc, argv))
  *         return shard::workerMain(shard::basicSetupFactory());
  *
- * The worker reconstructs its Simulation from the SweepRequest's
- * opaque setup blob via a caller-supplied SetupFactory — the engine
- * never interprets the blob, so drivers with exotic chips or fault
- * scenarios encode whatever they need. basicSetupFactory() covers
- * the canned chips (POWER8 evaluation chip, mini test chip) plus the
- * whole SimConfig schema, which is all the in-tree drivers use.
- *
- * Cells execute on the shared runSweepCells() core (one Simulation,
- * or an intra-worker thread pool at jobs > 1) and every finished
- * cell streams back immediately as a CellResult frame; a side thread
- * emits Heartbeat frames so the coordinator can tell a long-running
- * cell from a hung process.
- *
- * Test hook: TG_SHARD_TEST_DIE="<workerId>:<afterCells>" makes
- * worker `workerId` _exit() right before sending its
- * (afterCells+1)-th cell result — the crash-reassignment tests kill
- * a worker mid-shard with it.
+ * A worker is the sweep daemon (serve/server.hh) adopting that
+ * socket: each shard arrives as a ServeSweep whose cell list is the
+ * shard, runs on the daemon's executor (on exactly the shard's jobs
+ * threads), and streams back as ServeCell frames closed by a
+ * ServeDone; the daemon's poll thread answers the coordinator's
+ * liveness Pings. The daemon rebuilds its Simulation from the
+ * request's opaque setup blob via the caller-supplied SetupFactory —
+ * the engine never interprets the blob, so drivers with exotic chips
+ * or fault scenarios encode whatever they need. basicSetupFactory()
+ * covers the canned chips (POWER8 evaluation chip, mini test chip)
+ * plus the whole SimConfig schema, which is all the in-tree drivers
+ * and the daemon use.
  */
 
 #ifndef TG_SHARD_WORKER_HH
@@ -44,18 +39,17 @@
 namespace tg {
 namespace shard {
 
-/** Request/result pipe fds of a worker process (set up by the
- *  coordinator before exec; deliberately past stdin/out/err). */
-constexpr int kWorkerInFd = 3;
-constexpr int kWorkerOutFd = 4;
+/** The worker's end of its coordinator socketpair (set up before
+ *  exec; deliberately past stdin/out/err). */
+constexpr int kWorkerFd = 3;
 
 /** The worker-mode argv marker. */
 constexpr const char *kWorkerFlag = "--tg-worker";
 
 /**
  * Everything a worker needs to rebuild its simulation context from a
- * SweepRequest. `keepAlive` owns any state `opts` points into (e.g.
- * a decoded fault scenario referenced by opts.faultScenario).
+ * setup blob. `keepAlive` owns any state `opts` points into (e.g. a
+ * decoded fault scenario referenced by opts.faultScenario).
  */
 struct WorkerSetup
 {
@@ -65,9 +59,10 @@ struct WorkerSetup
     std::shared_ptr<const void> keepAlive;
 };
 
-/** Decode an opaque setup blob into a WorkerSetup. Fatal on a blob
- *  the factory does not understand (the coordinator and worker are
- *  the same binary, so a mismatch is a bug, not an input error). */
+/** Decode an opaque setup blob into a WorkerSetup. Throws
+ *  std::invalid_argument on a blob the factory does not understand;
+ *  the daemon answers that request with a DoneStatus::Error (which a
+ *  coordinator then reports as fatal — it built the blob itself). */
 using SetupFactory =
     std::function<WorkerSetup(const std::vector<std::uint8_t> &blob)>;
 
@@ -75,8 +70,9 @@ using SetupFactory =
 bool isWorkerInvocation(int argc, char **argv);
 
 /**
- * Run the worker protocol loop on fds 3/4 until a Shutdown frame or
- * coordinator EOF. Returns the process exit code.
+ * Serve the coordinator on fd 3 until it hangs up (or sends
+ * Shutdown), building contexts with `factory`. Returns the process
+ * exit code.
  */
 int workerMain(const SetupFactory &factory);
 
@@ -98,10 +94,8 @@ std::vector<std::uint8_t> encodeBasicSetup(ChipKind kind, int chip_arg,
                                            const sim::SimConfig &cfg);
 
 /**
- * Non-fatal decoder of encodeBasicSetup() blobs. Returns false on a
- * malformed blob (an old `TGB1` one included) or unknown chip kind
- * instead of dying — the sweep server uses this to turn a bad client
- * request into an error reply rather than a daemon abort. A decoded
+ * Decoder of encodeBasicSetup() blobs. Returns false on a malformed
+ * blob (an old `TGB1` one included) or unknown chip kind. A decoded
  * config still needs sim::configError() before it builds a
  * Simulation.
  */
@@ -109,10 +103,9 @@ bool decodeBasicSetup(const std::vector<std::uint8_t> &blob,
                       ChipKind &kind, int &chip_arg,
                       sim::SimConfig &cfg);
 
-/** The factory decoding encodeBasicSetup() blobs (fatal on a blob it
- *  does not understand or a config sim::configError() refuses —
- *  coordinator and worker are one binary, so a mismatch is a bug,
- *  not an input error). */
+/** The factory decoding encodeBasicSetup() blobs. Throws
+ *  std::invalid_argument on a malformed blob, a mini chip core count
+ *  outside 1..64, or a config sim::configError() refuses. */
 SetupFactory basicSetupFactory();
 
 } // namespace shard

@@ -212,13 +212,9 @@ visitConfig(Cfg &c, V &&v)
     else
         visitPowerParams(c.powerParams, v);
 
-    auto &p = c.pdnParams;
-    v("pdnParams.nodePitch", p.nodePitch, Result);
-    v("pdnParams.sheetResistance", p.sheetResistance, Result);
-    v("pdnParams.decapPerMm2", p.decapPerMm2, Result);
-    v("pdnParams.gridInductancePerM", p.gridInductancePerM, Result);
-    v("pdnParams.cycleTime", p.cycleTime, Result);
-    v("pdnParams.emergencyFrac", p.emergencyFrac, Result);
+    pdn::visitPdnParams(c.pdnParams, [&](const char *name, auto &f) {
+        v(name, f, Result);
+    });
 
     v("sensorParams.delay", c.sensorParams.delay, Result);
     v("sensorParams.quantization", c.sensorParams.quantization, Result);

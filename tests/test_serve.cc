@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "serve/protocol.hh"
 
@@ -245,22 +246,24 @@ TEST(ServeProtocol, SocketPathLadder)
 
 TEST(ServeProtocol, ServeFrameTypesAreValidFrameTypes)
 {
-    // The serve extension registered its enumerators in the shard
-    // frame registry; the parser must accept them all...
-    for (auto t : {shard::FrameType::ServeRun,
-                   shard::FrameType::ServeSweep,
-                   shard::FrameType::ServeCell,
-                   shard::FrameType::ServeDone,
-                   shard::FrameType::ServeStats,
-                   shard::FrameType::ServeStatsReply,
-                   shard::FrameType::Ping, shard::FrameType::Pong,
-                   shard::FrameType::ServeCancel})
-        EXPECT_TRUE(shard::frameTypeValid(
-            static_cast<std::uint32_t>(t)));
-    // ...and still reject the first id past the extension.
-    EXPECT_FALSE(shard::frameTypeValid(
-        static_cast<std::uint32_t>(shard::FrameType::ServeCancel) +
-        1));
+    // Every frame type with its wire value, pinned: a client built
+    // against an older registry must keep talking to the daemon, so
+    // no remaining type may be renumbered.
+    using shard::FrameType;
+    const std::pair<FrameType, std::uint32_t> wire[] = {
+        {FrameType::Shutdown, 7},     {FrameType::ServeRun, 8},
+        {FrameType::ServeSweep, 9},   {FrameType::ServeCell, 10},
+        {FrameType::ServeDone, 11},   {FrameType::ServeStats, 12},
+        {FrameType::ServeStatsReply, 13}, {FrameType::Ping, 14},
+        {FrameType::Pong, 15},        {FrameType::ServeCancel, 16},
+    };
+    for (const auto &[type, value] : wire) {
+        EXPECT_EQ(static_cast<std::uint32_t>(type), value);
+        EXPECT_TRUE(shard::frameTypeValid(value)) << value;
+    }
+    // ...and the parser rejects everything outside that range.
+    EXPECT_FALSE(shard::frameTypeValid(6));
+    EXPECT_FALSE(shard::frameTypeValid(17));
 }
 
 } // namespace

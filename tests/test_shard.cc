@@ -1,8 +1,8 @@
 /**
  * @file
  * Pure unit tests of the sharded sweep's building blocks: the
- * deterministic partitioner, the length-prefixed frame protocol and
- * the setup blob codec.
+ * deterministic partitioner, the length-prefixed frame layer and the
+ * setup blob codec.
  * No processes are spawned here — the end-to-end coordinator/worker
  * determinism and crash-reassignment tests live in
  * test_shard_run.cc (which needs a custom main for worker mode).
@@ -122,32 +122,32 @@ feedAll(FrameParser &p, const std::vector<std::uint8_t> &bytes,
 TEST(ShardProtocol, FrameRoundTrip)
 {
     const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-    auto bytes = shard::encodeFrame(FrameType::CellResult, payload);
+    auto bytes = shard::encodeFrame(FrameType::ServeCell, payload);
 
     FrameParser parser;
     Frame frame;
     ASSERT_EQ(feedAll(parser, bytes, frame),
               FrameParser::Status::Frame);
-    EXPECT_EQ(frame.type, FrameType::CellResult);
+    EXPECT_EQ(frame.type, FrameType::ServeCell);
     EXPECT_EQ(frame.payload, payload);
     EXPECT_EQ(parser.next(frame), FrameParser::Status::NeedMore);
 }
 
 TEST(ShardProtocol, EmptyPayloadFrame)
 {
-    auto bytes = shard::encodeFrame(FrameType::Heartbeat, {});
+    auto bytes = shard::encodeFrame(FrameType::Ping, {});
     FrameParser parser;
     Frame frame;
     ASSERT_EQ(feedAll(parser, bytes, frame),
               FrameParser::Status::Frame);
-    EXPECT_EQ(frame.type, FrameType::Heartbeat);
+    EXPECT_EQ(frame.type, FrameType::Ping);
     EXPECT_TRUE(frame.payload.empty());
 }
 
 TEST(ShardProtocol, ByteAtATimeReassembly)
 {
     const std::vector<std::uint8_t> payload(300, 0xAB);
-    auto bytes = shard::encodeFrame(FrameType::ShardDone, payload);
+    auto bytes = shard::encodeFrame(FrameType::ServeDone, payload);
 
     FrameParser parser;
     Frame frame;
@@ -163,8 +163,8 @@ TEST(ShardProtocol, ByteAtATimeReassembly)
 
 TEST(ShardProtocol, BackToBackFrames)
 {
-    auto a = shard::encodeFrame(FrameType::Heartbeat, {});
-    auto b = shard::encodeFrame(FrameType::ShardDone, {9, 9});
+    auto a = shard::encodeFrame(FrameType::Ping, {});
+    auto b = shard::encodeFrame(FrameType::ServeDone, {9, 9});
     std::vector<std::uint8_t> stream = a;
     stream.insert(stream.end(), b.begin(), b.end());
 
@@ -172,15 +172,15 @@ TEST(ShardProtocol, BackToBackFrames)
     Frame frame;
     ASSERT_EQ(feedAll(parser, stream, frame),
               FrameParser::Status::Frame);
-    EXPECT_EQ(frame.type, FrameType::Heartbeat);
+    EXPECT_EQ(frame.type, FrameType::Ping);
     ASSERT_EQ(parser.next(frame), FrameParser::Status::Frame);
-    EXPECT_EQ(frame.type, FrameType::ShardDone);
+    EXPECT_EQ(frame.type, FrameType::ServeDone);
     EXPECT_EQ(parser.next(frame), FrameParser::Status::NeedMore);
 }
 
 TEST(ShardProtocol, BadMagicIsStickyCorrupt)
 {
-    auto bytes = shard::encodeFrame(FrameType::Heartbeat, {});
+    auto bytes = shard::encodeFrame(FrameType::Ping, {});
     bytes[0] ^= 0xFF;
 
     FrameParser parser;
@@ -190,14 +190,14 @@ TEST(ShardProtocol, BadMagicIsStickyCorrupt)
     EXPECT_TRUE(parser.corrupt());
 
     // A later good frame cannot resurrect the stream.
-    auto good = shard::encodeFrame(FrameType::Heartbeat, {});
+    auto good = shard::encodeFrame(FrameType::Ping, {});
     EXPECT_EQ(feedAll(parser, good, frame),
               FrameParser::Status::Corrupt);
 }
 
 TEST(ShardProtocol, ChecksumMismatchIsCorrupt)
 {
-    auto bytes = shard::encodeFrame(FrameType::CellResult,
+    auto bytes = shard::encodeFrame(FrameType::ServeCell,
                                     {10, 20, 30, 40});
     bytes[bytes.size() - 9] ^= 0x01; // last payload byte
 
@@ -221,15 +221,19 @@ TEST(ShardProtocol, UnknownFrameTypeIsCorrupt)
               FrameParser::Status::Corrupt);
     EXPECT_FALSE(shard::frameTypeValid(0));
     EXPECT_FALSE(shard::frameTypeValid(0xDEAD));
+    // 1-6 carried the retired shard-only messages; nothing speaks
+    // them any more.
+    for (std::uint32_t t = 1; t <= 6; ++t)
+        EXPECT_FALSE(shard::frameTypeValid(t)) << t;
     EXPECT_TRUE(shard::frameTypeValid(
-        static_cast<std::uint32_t>(FrameType::Hello)));
+        static_cast<std::uint32_t>(FrameType::Shutdown)));
 }
 
 TEST(ShardProtocol, AbsurdPayloadLengthIsCorrupt)
 {
     bytes::ByteWriter w;
     w.u32(shard::kFrameMagic);
-    w.u32(static_cast<std::uint32_t>(FrameType::CellResult));
+    w.u32(static_cast<std::uint32_t>(FrameType::ServeCell));
     w.u64(shard::kMaxFramePayload + 1);
     auto header = w.take();
 
@@ -239,106 +243,37 @@ TEST(ShardProtocol, AbsurdPayloadLengthIsCorrupt)
               FrameParser::Status::Corrupt);
 }
 
-// --- message payloads ------------------------------------------------
-
-TEST(ShardProtocol, HelloRoundTrip)
-{
-    shard::HelloMsg in;
-    in.version = shard::kProtocolVersion;
-    in.pid = 424242;
-    shard::HelloMsg out;
-    ASSERT_TRUE(decodeHello(shard::encodeHello(in), out));
-    EXPECT_EQ(out.version, in.version);
-    EXPECT_EQ(out.pid, in.pid);
-}
-
-TEST(ShardProtocol, SweepRequestRoundTrip)
-{
-    shard::SweepRequestMsg in;
-    in.workerId = 3;
-    in.jobs = 4;
-    in.heartbeatMs = 250;
-    in.setup = {0xDE, 0xAD, 0xBE, 0xEF};
-    in.benchmarks = {"barnes", "fft", "water_s"};
-    in.policies = {0, 2, 7};
-    in.timeSeries = 1;
-    in.heatmap = 0;
-    in.noiseTrace = 1;
-    in.trackVr = 12;
-    in.noiseSamplesOverride = -1;
-
-    shard::SweepRequestMsg out;
-    ASSERT_TRUE(decodeSweepRequest(shard::encodeSweepRequest(in), out));
-    EXPECT_EQ(out.workerId, in.workerId);
-    EXPECT_EQ(out.jobs, in.jobs);
-    EXPECT_EQ(out.heartbeatMs, in.heartbeatMs);
-    EXPECT_EQ(out.setup, in.setup);
-    EXPECT_EQ(out.benchmarks, in.benchmarks);
-    EXPECT_EQ(out.policies, in.policies);
-    EXPECT_EQ(out.timeSeries, in.timeSeries);
-    EXPECT_EQ(out.heatmap, in.heatmap);
-    EXPECT_EQ(out.noiseTrace, in.noiseTrace);
-    EXPECT_EQ(out.trackVr, in.trackVr);
-    EXPECT_EQ(out.noiseSamplesOverride, in.noiseSamplesOverride);
-}
-
-TEST(ShardProtocol, ShardAssignmentRoundTrip)
-{
-    shard::ShardAssignmentMsg in;
-    in.shard = 7;
-    in.cells = {0, 5, 11, 95};
-    shard::ShardAssignmentMsg out;
-    ASSERT_TRUE(
-        decodeShardAssignment(shard::encodeShardAssignment(in), out));
-    EXPECT_EQ(out.shard, in.shard);
-    EXPECT_EQ(out.cells, in.cells);
-}
-
-TEST(ShardProtocol, CellResultRoundTrip)
-{
-    shard::CellResultMsg in;
-    in.shard = 2;
-    in.cell = 17;
-    in.result.assign(1000, 0x5A);
-    shard::CellResultMsg out;
-    ASSERT_TRUE(decodeCellResult(shard::encodeCellResult(in), out));
-    EXPECT_EQ(out.shard, in.shard);
-    EXPECT_EQ(out.cell, in.cell);
-    EXPECT_EQ(out.result, in.result);
-}
+// --- setup blob ------------------------------------------------------
 
 TEST(ShardProtocol, DecodersRejectTruncation)
 {
-    shard::SweepRequestMsg req;
-    req.benchmarks = {"barnes"};
-    req.policies = {1};
-    auto p = shard::encodeSweepRequest(req);
-    for (std::size_t keep = 0; keep < p.size(); ++keep) {
-        std::vector<std::uint8_t> cut(p.begin(), p.begin() + keep);
-        shard::SweepRequestMsg out;
-        EXPECT_FALSE(decodeSweepRequest(cut, out))
-            << "truncated payload of " << keep
+    // Every proper prefix of a setup blob fails to decode, so a
+    // short read can never build a context from half a config.
+    const auto blob = shard::encodeBasicSetup(shard::ChipKind::Mini, 2,
+                                              sim::SimConfig{});
+    for (std::size_t keep = 0; keep < blob.size(); ++keep) {
+        std::vector<std::uint8_t> cut(blob.begin(),
+                                      blob.begin() +
+                                          static_cast<long>(keep));
+        shard::ChipKind kind{};
+        int chip_arg = 0;
+        sim::SimConfig cfg;
+        EXPECT_FALSE(shard::decodeBasicSetup(cut, kind, chip_arg, cfg))
+            << "truncated blob of " << keep
             << " bytes decoded successfully";
     }
 }
 
 TEST(ShardProtocol, DecodersRejectTrailingGarbage)
 {
-    shard::ShardDoneMsg done;
-    done.shard = 1;
-    auto p = shard::encodeShardDone(done);
-    p.push_back(0x00);
-    shard::ShardDoneMsg out;
-    EXPECT_FALSE(decodeShardDone(p, out));
-
-    shard::HelloMsg hello;
-    auto h = shard::encodeHello(hello);
-    h.push_back(0xFF);
-    shard::HelloMsg hout;
-    EXPECT_FALSE(decodeHello(h, hout));
+    auto blob = shard::encodeBasicSetup(shard::ChipKind::Power8, 0,
+                                        sim::SimConfig{});
+    blob.push_back(0x00);
+    shard::ChipKind kind{};
+    int chip_arg = 0;
+    sim::SimConfig cfg;
+    EXPECT_FALSE(shard::decodeBasicSetup(blob, kind, chip_arg, cfg));
 }
-
-// --- setup blob ------------------------------------------------------
 
 TEST(ShardSetup, OldMagicIsRejected)
 {

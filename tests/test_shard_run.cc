@@ -12,11 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
+#include <thread>
 
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "core/policy.hh"
+#include "serve/protocol.hh"
 #include "shard/coordinator.hh"
+#include "shard/protocol.hh"
 #include "shard/worker.hh"
 #include "sim/sweep.hh"
+#include "workload/profile.hh"
 
 namespace tg {
 namespace shard {
@@ -198,6 +209,72 @@ TEST_F(ShardDeterminism, ImmediateWorkerDeathStillCompletes)
 
     expectIdentical(reference(), merged);
     EXPECT_GE(stats.workerDeaths, 1);
+}
+
+TEST_F(ShardDeterminism, WorkerExitsWhenCoordinatorHangsUp)
+{
+    // A worker serves its coordinator's socket and nothing else: a
+    // hang-up mid-sweep cancels the sweep and the process exits
+    // rather than finishing the shard. The full POWER8 grid at one
+    // job runs for tens of seconds, far past the 5 s bound.
+    int fd = -1;
+    const int pid = spawnWorker(&fd);
+    ASSERT_GT(pid, 0);
+    struct Reaper
+    {
+        int pid;
+        ~Reaper()
+        {
+            if (pid > 0) {
+                ::kill(pid, SIGKILL);
+                ::waitpid(pid, nullptr, 0);
+            }
+        }
+    } reaper{pid};
+
+    serve::SweepMsg req;
+    req.setup = encodeBasicSetup(ChipKind::Power8, 0, sim::SimConfig{});
+    for (const auto &p : workload::splashProfiles())
+        req.benchmarks.push_back(p.name);
+    for (auto pk : core::allPolicyKinds())
+        req.policies.push_back(static_cast<std::uint32_t>(pk));
+    req.jobs = 1;
+    ASSERT_TRUE(writeFrameToFd(fd, FrameType::ServeSweep,
+                               serve::encodeSweep(req)));
+
+    using Clock = std::chrono::steady_clock;
+    FrameParser parser;
+    bool gotCell = false;
+    const auto firstCellDeadline = Clock::now() + std::chrono::minutes(2);
+    while (!gotCell && Clock::now() < firstCellDeadline) {
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, 100) <= 0)
+            continue;
+        ASSERT_EQ(pumpFrames(fd, parser,
+                             [&](const Frame &f) {
+                                 gotCell = gotCell ||
+                                           f.type == FrameType::ServeCell;
+                                 return f.type == FrameType::ServeCell;
+                             }),
+                  PumpStatus::Ok);
+    }
+    ASSERT_TRUE(gotCell) << "no cell within two minutes";
+    ::close(fd);
+
+    bool exited = false;
+    int status = 0;
+    const auto exitDeadline = Clock::now() + std::chrono::seconds(5);
+    while (!exited && Clock::now() < exitDeadline) {
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            exited = true;
+        else
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(exited) << "worker outlived its coordinator by 5 s";
+    if (exited) {
+        reaper.pid = -1;
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
 }
 
 } // namespace
