@@ -15,10 +15,14 @@
  * domains on a thread pool (SimConfig::jobs / TG_JOBS), so wall-clock
  * gains beyond the allocation elimination need a multi-core host;
  * results are bit-identical at every worker count.
+ *
+ * The context block names the ISA tier the kernels ran at
+ * ("isa_tier"): the same bits at every tier, not the same speed.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "common/isa.hh"
 #include "floorplan/power8.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
@@ -255,4 +259,17 @@ BENCHMARK(BM_MachineCalibration)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    // The transient-kernel timings depend on the ISA tier the
+    // process dispatched to (common/isa.hh); record it with them.
+    benchmark::AddCustomContext("isa_tier",
+                                isa::tierName(isa::activeTier()));
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -24,22 +24,30 @@
  * to a plain array with fixed trip-count loops — identical results
  * by construction.
  *
- * When the target has 256-bit registers (`__AVX__`, e.g. a
- * -DTG_ARCH=x86-64-v3 build) the four-lane base case is a single
- * `vector_size(32)` vector instead of two 16-byte halves, so width-4
- * batches occupy one YMM register and width-8 batches two. The lane
- * values are unchanged — only the register carve-up differs — and
- * bit-identity with the portable build is preserved because the
- * whole project compiles with -ffp-contract=off: no a*b+c is ever
- * contracted into an FMA, on either tier, in either the batched or
- * the scalar path. No intrinsics and no std::fma anywhere; every
- * lane executes the exact scalar op sequence.
+ * When the target has 256-bit registers (`__AVX__`: the x86-64-v3
+ * copy of the lockstep kernels, or a -DTG_ARCH=x86-64-v3 build) the
+ * four-lane base case is a single `vector_size(32)` vector instead of
+ * two 16-byte halves, so width-4 batches occupy one YMM register and
+ * width-8 batches two. When it has 512-bit registers (`__AVX512F__`:
+ * the x86-64-v4 copy) width 8 is a single `vector_size(64)` vector,
+ * one ZMM register. The lane values are unchanged — only the
+ * register carve-up differs — and bit-identity with the portable
+ * build is preserved because every tier compiles with
+ * -ffp-contract=off: no a*b+c is ever contracted into an FMA, in
+ * either the batched or the scalar path. No intrinsics and no
+ * std::fma anywhere; every lane executes the exact scalar op
+ * sequence.
+ *
+ * The layouts differ per tier, so a TU compiled for one tier must not
+ * share these types with another: common/noise_kernel.cc defines
+ * TG_ISA_NS (isa_portable, isa_v3, isa_v4) and everything below is
+ * then declared in tg::TG_ISA_NS instead of tg (see common/isa.hh).
+ * For the same reason nothing here instantiates a library template.
  */
 
 #ifndef TG_COMMON_SIMD_HH
 #define TG_COMMON_SIMD_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -50,6 +58,9 @@
 #endif
 
 namespace tg {
+#ifdef TG_ISA_NS
+namespace TG_ISA_NS {
+#endif
 
 /** Widest lockstep kernel instantiated by the solvers. */
 inline constexpr int kMaxBatchWidth = 8;
@@ -113,7 +124,7 @@ struct LaneStore
     void maxOf(const LaneStore &a, const LaneStore &b)
     {
         for (int l = 0; l < W; ++l)
-            v[l] = std::max(a.v[l], b.v[l]);
+            v[l] = a.v[l] < b.v[l] ? b.v[l] : a.v[l]; // std::max
     }
 };
 
@@ -212,6 +223,47 @@ struct LaneStore<4, true>
 };
 
 #endif // __AVX__
+
+#if defined(__AVX512F__)
+
+/**
+ * Eight lanes in one native 64-byte vector register: outranks the
+ * recursive partial, so width 8 is one ZMM register instead of two
+ * YMM halves. Exists only when the target has 512-bit registers.
+ */
+template <>
+struct LaneStore<8, true>
+{
+    typedef double Vec8 __attribute__((vector_size(64)));
+    /** Unaligned view for loads/stores — see LaneStore<2>::Vec2U. */
+    typedef double Vec8U
+        __attribute__((vector_size(64), aligned(8), may_alias));
+    Vec8 v;
+
+    double get(int l) const { return v[l]; }
+    void loadFrom(const double *p)
+    {
+        v = *reinterpret_cast<const Vec8U *>(p);
+    }
+    void storeTo(double *p) const
+    {
+        *reinterpret_cast<Vec8U *>(p) = v;
+    }
+    void fill(double s) { v = Vec8{s, s, s, s, s, s, s, s}; }
+    void add(const LaneStore &o) { v += o.v; }
+    void sub(const LaneStore &o) { v -= o.v; }
+    void mul(const LaneStore &o) { v *= o.v; }
+    void div(const LaneStore &o) { v /= o.v; }
+    void muls(double s) { v *= s; }
+    void divs(double s) { v /= s; }
+    /** std::max per lane: exactly (a < b ? b : a). */
+    void maxOf(const LaneStore &a, const LaneStore &b)
+    {
+        v = (a.v < b.v) ? b.v : a.v;
+    }
+};
+
+#endif // __AVX512F__
 
 /**
  * Wider powers of two recurse into named halves: `lo` holds lanes
@@ -396,6 +448,9 @@ struct DoubleBatch
     }
 };
 
+#ifdef TG_ISA_NS
+} // namespace TG_ISA_NS
+#endif
 } // namespace tg
 
 #endif // TG_COMMON_SIMD_HH

@@ -314,139 +314,47 @@ SparseLdltSolver::solveInPlace(std::vector<double> &bx) const
 void
 SparseLdltSolver::solveInPlace(double *bx) const
 {
-    scratch.resize(n);
-    std::vector<double> &y = scratch;
-    for (std::size_t i = 0; i < n; ++i)
-        y[i] = bx[perm[i]];
-
-    // Forward substitution with unit-diagonal L.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        double acc = y[i];
-        for (std::size_t j = fi; j < i; ++j)
-            acc -= li[j - fi] * y[j];
-        y[i] = acc;
-    }
-
-    // Diagonal scaling, then back substitution with L^T: the stored
-    // rows of L are the columns of L^T, so sweep rows from the bottom
-    // and scatter each solved component into the rows above it.
-    for (std::size_t i = 0; i < n; ++i)
-        y[i] /= diag[i];
-    for (std::size_t i = n; i-- > 0;) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        for (std::size_t j = fi; j < i; ++j)
-            y[j] -= li[j - fi] * y[i];
-    }
-
-    for (std::size_t i = 0; i < n; ++i)
-        bx[perm[i]] = y[i];
-
-#ifdef TG_DEBUG_CHECKS
-    for (std::size_t i = 0; i < n; ++i)
-        TG_DEBUG_ASSERT(std::isfinite(bx[i]),
-                        "non-finite LDL^T solution at row ", i);
-#endif
+    solveBatchInPlace(bx, 1);
 }
 
-/**
- * Fixed-width lockstep solve: identical substitution loops to the
- * scalar solveInPlace(), with every row operation applied to all W
- * lanes before moving on. Lane l therefore sees the scalar op
- * sequence exactly, and the W-wide inner loops auto-vectorise.
- */
-template <int W>
-void
-SparseLdltSolver::solveBatchFixed(double *bx) const
+isa::LdltView
+SparseLdltSolver::view() const
 {
-    using B = DoubleBatch<W>;
-    batchScratch.resize(n * W);
-    double *y = batchScratch.data();
-    for (std::size_t i = 0; i < n; ++i)
-        B::load(bx + perm[i] * W).store(y + i * W);
-
-    // Forward substitution with unit-diagonal L.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        B acc = B::load(y + i * W);
-        for (std::size_t j = fi; j < i; ++j)
-            acc -= B::load(y + j * W) * li[j - fi];
-        acc.store(y + i * W);
-    }
-
-    // Diagonal scaling, then back substitution with L^T.
-    for (std::size_t i = 0; i < n; ++i)
-        (B::load(y + i * W) / diag[i]).store(y + i * W);
-    for (std::size_t i = n; i-- > 0;) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        B yi = B::load(y + i * W);
-        for (std::size_t j = fi; j < i; ++j)
-            (B::load(y + j * W) - yi * li[j - fi]).store(y + j * W);
-    }
-
-    for (std::size_t i = 0; i < n; ++i)
-        B::load(y + i * W).store(bx + perm[i] * W);
-}
-
-/** Runtime-width fallback with the same per-lane operation order. */
-void
-SparseLdltSolver::solveBatchGeneric(double *bx, std::size_t width) const
-{
-    const std::size_t w = width;
-    batchScratch.resize(n * w);
-    double *y = batchScratch.data();
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t l = 0; l < w; ++l)
-            y[i * w + l] = bx[perm[i] * w + l];
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        double *yi = y + i * w;
-        for (std::size_t j = fi; j < i; ++j) {
-            const double c = li[j - fi];
-            const double *yj = y + j * w;
-            for (std::size_t l = 0; l < w; ++l)
-                yi[l] -= c * yj[l];
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double d = diag[i];
-        for (std::size_t l = 0; l < w; ++l)
-            y[i * w + l] /= d;
-    }
-    for (std::size_t i = n; i-- > 0;) {
-        const double *li = low.data() + rowStart[i];
-        std::size_t fi = first[i];
-        const double *yi = y + i * w;
-        for (std::size_t j = fi; j < i; ++j) {
-            const double c = li[j - fi];
-            double *yj = y + j * w;
-            for (std::size_t l = 0; l < w; ++l)
-                yj[l] -= c * yi[l];
-        }
-    }
-
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t l = 0; l < w; ++l)
-            bx[perm[i] * w + l] = y[i * w + l];
+    return {n, perm.data(), first.data(), rowStart.data(), low.data(),
+            diag.data()};
 }
 
 void
 SparseLdltSolver::solveBatchInPlace(double *bx, std::size_t width) const
 {
     TG_ASSERT(width > 0, "batched solve needs at least one lane");
-    switch (width) {
-      case 1: solveInPlace(bx); break;
-      case 2: solveBatchFixed<2>(bx); break;
-      case 4: solveBatchFixed<4>(bx); break;
-      case 8: solveBatchFixed<8>(bx); break;
-      default: solveBatchGeneric(bx, width); break;
+    const isa::KernelTable &k = isa::kernels();
+    const isa::LdltView f = view();
+    const bool fixed = (width & (width - 1)) == 0 &&
+                       width <= static_cast<std::size_t>(kMaxBatchWidth);
+    if (fixed) {
+        batchScratch.resize(n * width);
+        k.solveLdlt[isa::widthIndex(width)](f, bx, batchScratch.data());
+    } else {
+        // Lanes never interact, so a chunk of w lanes solved among
+        // zero lanes of the next kernel width gives the same bits.
+        const std::size_t kw = static_cast<std::size_t>(kMaxBatchWidth);
+        for (std::size_t c0 = 0; c0 < width; c0 += kw) {
+            const std::size_t w = std::min(kw, width - c0);
+            std::size_t pw = 1;
+            while (pw < w)
+                pw *= 2;
+            padScratch.assign(n * pw, 0.0);
+            for (std::size_t i = 0; i < n; ++i)
+                std::copy_n(bx + i * width + c0, w,
+                            padScratch.data() + i * pw);
+            batchScratch.resize(n * pw);
+            k.solveLdlt[isa::widthIndex(pw)](f, padScratch.data(),
+                                             batchScratch.data());
+            for (std::size_t i = 0; i < n; ++i)
+                std::copy_n(padScratch.data() + i * pw, w,
+                            bx + i * width + c0);
+        }
     }
 
 #ifdef TG_DEBUG_CHECKS

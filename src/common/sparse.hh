@@ -18,10 +18,12 @@
  *    caller's numbering and degrades to a plain banded solver, the
  *    fallback for matrices that are already banded by construction.
  *
- * Solvers keep a reusable scratch vector so solveInPlace() performs
- * no heap allocation after the first call; a given solver instance
- * must therefore not be shared by concurrent solves (the sweep engine
- * runs one Simulation — hence one solver set — per worker).
+ * Every solve runs the lockstep kernel of the active ISA tier
+ * (common/isa.hh) over the factor's arrays. Solvers keep reusable
+ * scratch so solves perform no heap allocation after the first call;
+ * a given solver instance must therefore not be shared by concurrent
+ * solves (the sweep engine runs one Simulation — hence one solver
+ * set — per worker).
  */
 
 #ifndef TG_COMMON_SPARSE_HH
@@ -30,6 +32,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/isa.hh"
 #include "common/matrix.hh"
 
 namespace tg {
@@ -146,11 +149,15 @@ class SparseLdltSolver
      * l of row i lives at bx[i * width + l] (a row-major n x width
      * buffer). One envelope traversal advances every lane in
      * lockstep; per-lane results are bit-identical to scalar
-     * solveInPlace(). Widths 2/4/8 dispatch to fixed-width SIMD
-     * kernels; other widths use a runtime-width loop. No heap
+     * solveInPlace(). Widths 1/2/4/8 run the fixed-width kernels
+     * directly; other widths run in chunks of up to eight lanes,
+     * each padded with zero lanes to the next kernel width. No heap
      * allocation after the first call at a given width.
      */
     void solveBatchInPlace(double *bx, std::size_t width) const;
+
+    /** The factor's arrays, for the lockstep kernels. */
+    isa::LdltView view() const;
 
     /** Dimension of the factored system. */
     std::size_t size() const { return n; }
@@ -162,18 +169,14 @@ class SparseLdltSolver
     std::size_t envelopeBandwidth() const;
 
   private:
-    template <int W>
-    void solveBatchFixed(double *bx) const;
-    void solveBatchGeneric(double *bx, std::size_t width) const;
-
     std::size_t n = 0;
     std::vector<std::size_t> perm;  //!< perm[new] = old
     std::vector<std::size_t> first; //!< leftmost column of row's envelope
     std::vector<std::size_t> rowStart; //!< packed offsets, size n + 1
     std::vector<double> low;        //!< packed strictly-lower L entries
     std::vector<double> diag;       //!< D of the LDL^T factorisation
-    mutable std::vector<double> scratch; //!< permuted solve workspace
     mutable std::vector<double> batchScratch; //!< n x width workspace
+    mutable std::vector<double> padScratch; //!< padded lanes of a chunk
 };
 
 } // namespace tg

@@ -1,7 +1,6 @@
 #include "pdn/domain_pdn.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -9,7 +8,6 @@
 #include "cache/fingerprint.hh"
 #include "cache/store.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace tg {
 namespace pdn {
@@ -448,7 +446,8 @@ DomainPdn::steadyVoltages(const std::vector<Amperes> &node_currents) const
     for (int k : activeSet)
         v[static_cast<std::size_t>(
             vrNodes[static_cast<std::size_t>(k)])] += inj;
-    solveReducedBatch<1>(*steadyBase, current->steady, v.data());
+    isa::kernels().solveReduced(reducedView(*steadyBase, current->steady),
+                                v.data(), reducedScratch(1));
     return v;
 }
 
@@ -494,217 +493,28 @@ DomainPdn::transientWindow(const Amperes *currents, std::size_t cycles,
     return res;
 }
 
-/**
- * Woodbury-corrected solve for W interleaved lanes (lane l of row i
- * at x[i*W + l]): one batched base solve, then the rank-r correction
- * x += W capInverse (E^T x) applied lane-wise.
- */
-template <int W>
-void
-DomainPdn::solveReducedBatch(const SparseLdltSolver &base,
-                             const Downdate &dd, double *x) const
+isa::ReducedView
+DomainPdn::reducedView(const SparseLdltSolver &base, const Downdate &dd)
 {
-    base.solveBatchInPlace(x, W);
-    std::size_t r = dd.nodes.size();
-    if (r == 0)
-        return;
-    using B = DoubleBatch<W>;
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    smallScratch.resize(2 * r * W);
-    double *s = smallScratch.data();
-    double *u = s + r * W;
-    for (std::size_t a = 0; a < r; ++a)
-        B::load(x + static_cast<std::size_t>(dd.nodes[a]) * W)
-            .store(s + a * W);
-    for (std::size_t a = 0; a < r; ++a) {
-        const double *ca = dd.capInverse.row(a);
-        B acc = B::broadcast(0.0);
-        for (std::size_t b = 0; b < r; ++b)
-            acc += B::load(s + b * W) * ca[b];
-        acc.store(u + a * W);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double *wi = dd.w.row(i);
-        B acc = B::broadcast(0.0);
-        for (std::size_t a = 0; a < r; ++a)
-            acc += B::load(u + a * W) * wi[a];
-        (B::load(x + i * W) + acc).store(x + i * W);
-    }
+    const std::size_t r = dd.nodes.size();
+    return {base.view(),
+            {r, dd.nodes.data(), r ? dd.w.row(0) : nullptr,
+             r ? dd.capInverse.row(0) : nullptr}};
+}
+
+isa::ReducedScratch
+DomainPdn::reducedScratch(std::size_t width) const
+{
+    // Both downdates remove the same branches: one rank for both.
+    batchLdlt.resize(static_cast<std::size_t>(nNodes) * width);
+    smallScratch.resize(2 * current->steady.nodes.size() * width);
+    return {batchLdlt.data(), smallScratch.data()};
 }
 
 /**
- * Fixed-width lockstep transient kernel, the only transient solver:
- * W independent windows advance through the shared factorisation,
- * one lane each, with the lane dimension innermost. Lane l's
- * floating-point op sequence — load build, rhs assembly, solve,
- * branch update, droop max — depends only on window l, so every
- * width (1 included) and every chunking gives the same bits.
- *
- * The load of cycle c comes from one of two sources. A WindowSpec
- * lane gathers row c of its strided buffer. A SeparableWindow lane
- * evaluates a[i] * ma[c] + b[i] * mb[c] here, with a and b
- * interleaved once per call: the expression and order a
- * buffer-filling caller would use, so both sources give the same
- * bits for the same loads.
- */
-template <int W, class Window>
-void
-DomainPdn::transientWindowLockstep(const Window *windows,
-                                   std::size_t cycles, int warmup,
-                                   bool keep_trace,
-                                   NoiseResult *out) const
-{
-    constexpr bool kSeparable = std::is_same_v<Window, SeparableWindow>;
-    using B = DoubleBatch<W>;
-    std::size_t n = static_cast<std::size_t>(nNodes);
-    std::size_t m = activeSet.size();
-    double vdd = chipRef.params.vdd;
-    double dt = prm.cycleTime;
-    double r_out = design.outputResistance;
-
-    if constexpr (kSeparable) {
-        batchBaseA.resize(n * W);
-        batchBaseB.resize(n * W);
-        for (std::size_t i = 0; i < n; ++i)
-            for (int l = 0; l < W; ++l) {
-                batchBaseA[i * W + l] = windows[l].a[i];
-                batchBaseB[i * W + l] = windows[l].b[i];
-            }
-    }
-    // Lane loads of cycle `cyc`, as a node -> batch function.
-    auto cycle_load = [&](std::size_t cyc) {
-        if constexpr (kSeparable) {
-            double ma[W];
-            double mb[W];
-            for (int l = 0; l < W; ++l) {
-                ma[l] = windows[l].ma[cyc];
-                mb[l] = windows[l].mb[cyc];
-            }
-            const B bma = B::load(ma);
-            const B bmb = B::load(mb);
-            const double *pa = batchBaseA.data();
-            const double *pb = batchBaseB.data();
-            return [=](std::size_t i) {
-                return B::load(pa + i * W) * bma +
-                       B::load(pb + i * W) * bmb;
-            };
-        } else {
-            std::array<const Amperes *, W> rows;
-            for (int l = 0; l < W; ++l)
-                rows[static_cast<std::size_t>(l)] =
-                    windows[l].currents + cyc * windows[l].stride;
-            return [=](std::size_t i) {
-                double cur[W];
-                for (int l = 0; l < W; ++l)
-                    cur[l] = rows[static_cast<std::size_t>(l)][i];
-                return B::load(cur);
-            };
-        }
-    };
-
-    branchR.resize(m);
-    for (std::size_t k = 0; k < m; ++k)
-        branchR[k] =
-            vrLoopL[static_cast<std::size_t>(activeSet[k])] / dt + r_out;
-
-    // Initial condition per lane: steady state at the lane's first
-    // cycle, branch currents from Vdd = V_node + R_out I. The rhs is
-    // the negated load (not 0 - load), which keeps the sign of zero.
-    batchVolt.resize(n * W);
-    {
-        const auto load0 = cycle_load(0);
-        for (std::size_t i = 0; i < n; ++i) {
-            load0(i).store(batchVolt.data() + i * W);
-            for (int l = 0; l < W; ++l)
-                batchVolt[i * W + l] = -batchVolt[i * W + l];
-        }
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-        std::size_t node = static_cast<std::size_t>(
-            vrNodes[static_cast<std::size_t>(activeSet[k])]);
-        for (int l = 0; l < W; ++l)
-            batchVolt[node * W + l] += vdd / r_out;
-    }
-    solveReducedBatch<W>(*steadyBase, current->steady,
-                         batchVolt.data());
-    batchBranch.resize(m * W);
-    for (std::size_t k = 0; k < m; ++k) {
-        std::size_t node = static_cast<std::size_t>(
-            vrNodes[static_cast<std::size_t>(activeSet[k])]);
-        for (int l = 0; l < W; ++l)
-            batchBranch[k * W + l] =
-                (vdd - batchVolt[node * W + l]) / r_out;
-    }
-
-    for (int l = 0; l < W; ++l) {
-        out[l].maxNoiseFrac = 0.0;
-        out[l].emergencyCycles = 0;
-        out[l].analysedCycles = 0;
-        out[l].trace.clear();
-        if (keep_trace)
-            out[l].trace.reserve(cycles);
-    }
-
-    // Implicit Euler in reduced form:
-    //   (C/dt + G + sum 1/R_k) V' = C/dt V - I_load + sum g_k/R_k e_k
-    //   I'_k = (g_k - V'_{node_k}) / R_k,  g_k = L_k/dt I_k + Vdd.
-    batchRhs.resize(n * W);
-    batchBranchRhs.resize(m * W);
-    for (std::size_t cyc = 0; cyc < cycles; ++cyc) {
-        const auto load = cycle_load(cyc);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double g = decap[i] / dt;
-            // Lane l: g * volt - current (batch * scalar multiplies
-            // lane-first, bit-commutative).
-            (B::load(batchVolt.data() + i * W) * g - load(i))
-                .store(batchRhs.data() + i * W);
-        }
-        for (std::size_t k = 0; k < m; ++k) {
-            const double l_dt =
-                vrLoopL[static_cast<std::size_t>(activeSet[k])] / dt;
-            std::size_t node = static_cast<std::size_t>(
-                vrNodes[static_cast<std::size_t>(activeSet[k])]);
-            B g_k = B::load(batchBranch.data() + k * W) * l_dt +
-                    B::broadcast(vdd);
-            g_k.store(batchBranchRhs.data() + k * W);
-            (B::load(batchRhs.data() + node * W) + g_k / branchR[k])
-                .store(batchRhs.data() + node * W);
-        }
-        solveReducedBatch<W>(*transientBase, current->transient,
-                             batchRhs.data());
-        batchVolt.swap(batchRhs);
-        for (std::size_t k = 0; k < m; ++k) {
-            std::size_t node = static_cast<std::size_t>(
-                vrNodes[static_cast<std::size_t>(activeSet[k])]);
-            ((B::load(batchBranchRhs.data() + k * W) -
-              B::load(batchVolt.data() + node * W)) /
-             branchR[k])
-                .store(batchBranch.data() + k * W);
-        }
-
-        B droop = B::broadcast(0.0);
-        for (int i : loadIdx) {
-            B v = B::load(batchVolt.data() +
-                          static_cast<std::size_t>(i) * W);
-            droop = B::max(droop, (B::broadcast(vdd) - v) / vdd);
-        }
-        for (int l = 0; l < W; ++l) {
-            const double d = droop[l];
-            if (keep_trace)
-                out[l].trace.push_back(d);
-            if (static_cast<int>(cyc) >= warmup) {
-                ++out[l].analysedCycles;
-                out[l].maxNoiseFrac = std::max(out[l].maxNoiseFrac, d);
-                if (d > prm.emergencyFrac)
-                    ++out[l].emergencyCycles;
-            }
-        }
-    }
-}
-
-/**
- * Chunk `count` windows into the widest fixed kernels (8/4/2/1). Any
- * chunking yields the same bits: lanes never interact.
+ * Chunk `count` windows into the widest fixed kernels (8/4/2/1) of
+ * the active ISA tier. Any chunking yields the same bits: lanes
+ * never interact.
  */
 template <class Window>
 void
@@ -718,26 +528,87 @@ DomainPdn::transientWindowChunks(const Window *windows, int count,
               "warmup must leave analysis cycles");
     TG_ASSERT(current != nullptr, "setActive() must precede solves");
 
+    const std::size_t n = static_cast<std::size_t>(nNodes);
+    const std::size_t m = activeSet.size();
+    const double dt = prm.cycleTime;
+    const double r_out = design.outputResistance;
+    branchNode.resize(m);
+    branchLdt.resize(m);
+    branchR.resize(m);
+    for (std::size_t k = 0; k < m; ++k) {
+        const std::size_t vr = static_cast<std::size_t>(activeSet[k]);
+        branchNode[k] = static_cast<std::size_t>(vrNodes[vr]);
+        branchLdt[k] = vrLoopL[vr] / dt;
+        branchR[k] = vrLoopL[vr] / dt + r_out;
+    }
+    isa::TransientView view;
+    view.n = n;
+    view.steady = reducedView(*steadyBase, current->steady);
+    view.transient = reducedView(*transientBase, current->transient);
+    view.m = m;
+    view.branchNode = branchNode.data();
+    view.branchLdt = branchLdt.data();
+    view.branchR = branchR.data();
+    view.decap = decap.data();
+    view.loadIdx = loadIdx.data();
+    view.loads = loadIdx.size();
+    view.vdd = chipRef.params.vdd;
+    view.dt = dt;
+    view.rOut = r_out;
+    view.emergencyFrac = prm.emergencyFrac;
+
+    // Scratch for the widest chunk this batch runs.
+    std::size_t widest = 1;
+    while (widest * 2 <= static_cast<std::size_t>(
+                             std::min(count, kMaxWindowBatch)))
+        widest *= 2;
+    isa::WindowScratch work;
+    work.solve = reducedScratch(widest);
+    batchVolt.resize(n * widest);
+    batchRhs.resize(n * widest);
+    batchBranch.resize(m * widest);
+    batchBranchRhs.resize(m * widest);
+    work.volt = batchVolt.data();
+    work.rhs = batchRhs.data();
+    work.branch = batchBranch.data();
+    work.branchRhs = batchBranchRhs.data();
+    if constexpr (std::is_same_v<Window, SeparableWindow>) {
+        batchBaseA.resize(n * widest);
+        batchBaseB.resize(n * widest);
+        work.baseA = batchBaseA.data();
+        work.baseB = batchBaseB.data();
+    }
+
+    const isa::KernelTable &k = isa::kernels();
     int done = 0;
     while (done < count) {
-        int left = count - done;
-        if (left >= 8) {
-            transientWindowLockstep<8>(windows + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 8;
-        } else if (left >= 4) {
-            transientWindowLockstep<4>(windows + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 4;
-        } else if (left >= 2) {
-            transientWindowLockstep<2>(windows + done, cycles, warmup,
-                                       keep_trace, out + done);
-            done += 2;
-        } else {
-            transientWindowLockstep<1>(windows + done, cycles, warmup,
-                                       keep_trace, out + done);
-            ++done;
+        std::size_t w = widest;
+        while (w > static_cast<std::size_t>(count - done))
+            w /= 2;
+        isa::LaneResult lanes[kMaxWindowBatch];
+        for (std::size_t l = 0; l < w; ++l) {
+            auto &trace = out[static_cast<std::size_t>(done) + l].trace;
+            if (keep_trace) {
+                trace.resize(cycles);
+                lanes[l].trace = trace.data();
+            } else {
+                trace.clear();
+            }
         }
+        const int idx = isa::widthIndex(w);
+        if constexpr (std::is_same_v<Window, SeparableWindow>)
+            k.windowSeparable[idx](view, windows + done, cycles, warmup,
+                                   work, lanes);
+        else
+            k.windowStrided[idx](view, windows + done, cycles, warmup,
+                                 work, lanes);
+        for (std::size_t l = 0; l < w; ++l) {
+            NoiseResult &res = out[static_cast<std::size_t>(done) + l];
+            res.maxNoiseFrac = lanes[l].maxNoiseFrac;
+            res.emergencyCycles = lanes[l].emergencyCycles;
+            res.analysedCycles = lanes[l].analysedCycles;
+        }
+        done += static_cast<int>(w);
     }
 
 #ifdef TG_DEBUG_CHECKS

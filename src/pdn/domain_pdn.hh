@@ -51,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/isa.hh"
 #include "common/matrix.hh"
 #include "common/sparse.hh"
 #include "common/units.hh"
@@ -200,12 +201,11 @@ class DomainPdn
                                 int warmup,
                                 bool keep_trace = false) const;
 
-    /** One window of a lockstep batch: a flat strided cycle buffer. */
-    struct WindowSpec
-    {
-        const Amperes *currents = nullptr; //!< cycle-major load rows
-        std::size_t stride = 0;            //!< row stride >= nodeCount()
-    };
+    /**
+     * One window of a lockstep batch: a flat strided cycle buffer
+     * (`currents`, row `stride` >= nodeCount()).
+     */
+    using WindowSpec = isa::WindowSpec;
 
     /**
      * One window of a lockstep batch in separable form: the load of
@@ -216,13 +216,7 @@ class DomainPdn
      * needs, and give the same bits as that buffer filled with the
      * same expression. Lanes may share base vectors.
      */
-    struct SeparableWindow
-    {
-        const Amperes *a = nullptr; //!< first base-current vector
-        const Amperes *b = nullptr; //!< second base-current vector
-        const double *ma = nullptr; //!< per-cycle multipliers of a
-        const double *mb = nullptr; //!< per-cycle multipliers of b
-    };
+    using SeparableWindow = isa::SeparableWindow;
 
     /** Widest lockstep kernel instantiated (see common/simd.hh). */
     static constexpr int kMaxWindowBatch = 8;
@@ -233,8 +227,9 @@ class DomainPdn
      * Woodbury rank-r correction, branch update, and droop scan all
      * execute once per cycle for the whole batch, with each window
      * occupying one lane. Lanes never interact, so out[i] is the same
-     * bits at every batch width and chunking. `count` is chunked
-     * internally into fixed widths (8/4/2/1); all windows share
+     * bits at every batch width, chunking and ISA tier. `count` is
+     * chunked internally into fixed widths (8/4/2/1), each run by the
+     * active tier's kernel (common/isa.hh); all windows share
      * cycles/warmup. No heap allocation after the first call at a
      * given width (trace buffers aside).
      */
@@ -371,7 +366,10 @@ class DomainPdn
     Matrix transferR;  //!< nodeCount x vrCount transfer resistances
 
     // Reusable solve workspaces (see thread-safety note above).
-    mutable std::vector<double> branchR;       //!< branch R (L/dt+R)
+    mutable std::vector<std::size_t> branchNode; //!< active attach nodes
+    mutable std::vector<double> branchLdt;     //!< active L/dt
+    mutable std::vector<double> branchR;       //!< active R (L/dt+R)
+    mutable std::vector<double> batchLdlt;     //!< n x W base solve
     mutable std::vector<double> smallScratch;  //!< rank-r correction
     mutable std::vector<double> windowScratch; //!< packed cycle rows
     mutable std::vector<double> batchVolt;     //!< n x W lane voltages
@@ -387,18 +385,15 @@ class DomainPdn
     Downdate makeDowndate(const SparseLdltSolver &base,
                           const std::vector<int> &removed,
                           const std::vector<double> &removed_r) const;
-    template <int W>
-    void solveReducedBatch(const SparseLdltSolver &base,
-                           const Downdate &dd, double *x) const;
+    /** Kernel view of `base` downdated by `dd`. */
+    static isa::ReducedView reducedView(const SparseLdltSolver &base,
+                                        const Downdate &dd);
+    /** Size the solve scratch for `width` lanes; views into it. */
+    isa::ReducedScratch reducedScratch(std::size_t width) const;
     template <class Window>
     void transientWindowChunks(const Window *windows, int count,
                                std::size_t cycles, int warmup,
                                bool keep_trace, NoiseResult *out) const;
-    template <int W, class Window>
-    void transientWindowLockstep(const Window *windows,
-                                 std::size_t cycles, int warmup,
-                                 bool keep_trace,
-                                 NoiseResult *out) const;
 };
 
 } // namespace pdn

@@ -87,7 +87,8 @@ bool Client::connectWithRetry(const std::string &socketPath,
         std::uint8_t jkey[16];
         for (int i = 0; i < 8; ++i) {
             jkey[i] = static_cast<std::uint8_t>(pid >> (8 * i));
-            jkey[8 + i] = static_cast<std::uint8_t>(attempt >> (8 * i));
+            jkey[8 + i] = static_cast<std::uint8_t>(
+                std::uint64_t{attempt} >> (8 * i));
         }
         const std::uint64_t jitter =
             bytes::fnv1a(jkey, sizeof jkey) % (delayMs / 4 + 1);

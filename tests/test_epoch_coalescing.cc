@@ -22,6 +22,7 @@
 
 #include "fault/scenario.hh"
 #include "floorplan/power8.hh"
+#include "isa_tiers.hh"
 #include "sim/simulation.hh"
 #include "workload/profile.hh"
 
@@ -76,7 +77,8 @@ runWith(const floorplan::Chip &chip, core::PolicyKind policy,
     return s.run(workload::profileByName("fft"), policy, opts);
 }
 
-TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
+void
+checkMatchesPerEpochPathAcrossJobsAndWidths()
 {
     // Reference: width 1 on one worker, where every window drains
     // as it is queued. Every coalescing combination must equal it
@@ -95,7 +97,8 @@ TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
     }
 }
 
-TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
+void
+checkSetChangingPolicyFlushesBeforeRekey()
 {
     // OracT re-selects active sets each epoch without the emergency
     // override, so pending windows hit the flush-before-setActive
@@ -110,7 +113,8 @@ TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
         ref, runWith(chip, core::PolicyKind::OracT, 4, 4));
 }
 
-TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
+void
+checkFaultScenarioMatchesPerEpochPath()
 {
     // Deferred reduction must attribute emergency cycles to the
     // epoch a sample was *scheduled* in (recorded at queue time),
@@ -147,7 +151,8 @@ TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
     }
 }
 
-TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
+void
+checkTracesAndTimeSeriesSurviveDeferral()
 {
     // The deepest-droop trace and its timestamp come out of the
     // deferred reduction; they must match the width-1 reference's
@@ -165,6 +170,53 @@ TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
     EXPECT_EQ(a.noiseTrace, b.noiseTrace);
     EXPECT_EQ(a.noiseTraceDomain, b.noiseTraceDomain);
     EXPECT_EQ(a.noiseTraceTimeUs, b.noiseTraceTimeUs);
+}
+
+TEST(CoalesceDeterminism, MatchesPerEpochPathAcrossJobsAndWidths)
+{
+    checkMatchesPerEpochPathAcrossJobsAndWidths();
+}
+
+TEST(CoalesceDeterminism, SetChangingPolicyFlushesBeforeRekey)
+{
+    checkSetChangingPolicyFlushesBeforeRekey();
+}
+
+TEST(CoalesceDeterminism, FaultScenarioMatchesPerEpochPath)
+{
+    checkFaultScenarioMatchesPerEpochPath();
+}
+
+TEST(CoalesceDeterminism, TracesAndTimeSeriesSurviveDeferral)
+{
+    checkTracesAndTimeSeriesSurviveDeferral();
+}
+
+// The same equivalences with the kernels forced to each ISA tier.
+template <class Tag>
+class CoalesceDeterminismAtTier : public test::TierFixture<Tag>
+{
+};
+TYPED_TEST_SUITE(CoalesceDeterminismAtTier, test::AllTiers);
+
+TYPED_TEST(CoalesceDeterminismAtTier, MatchesPerEpochPathAcrossJobsAndWidths)
+{
+    checkMatchesPerEpochPathAcrossJobsAndWidths();
+}
+
+TYPED_TEST(CoalesceDeterminismAtTier, SetChangingPolicyFlushesBeforeRekey)
+{
+    checkSetChangingPolicyFlushesBeforeRekey();
+}
+
+TYPED_TEST(CoalesceDeterminismAtTier, FaultScenarioMatchesPerEpochPath)
+{
+    checkFaultScenarioMatchesPerEpochPath();
+}
+
+TYPED_TEST(CoalesceDeterminismAtTier, TracesAndTimeSeriesSurviveDeferral)
+{
+    checkTracesAndTimeSeriesSurviveDeferral();
 }
 
 } // namespace

@@ -16,12 +16,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "floorplan/power8.hh"
+#include "isa_tiers.hh"
 #include "sim/simulation.hh"
 #include "workload/cycles.hh"
 #include "workload/profile.hh"
@@ -224,14 +226,17 @@ TEST(RunDeterminism, BatchWidthSweepBitIdenticalAcrossJobs)
     }
 }
 
-TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
+/**
+ * Full-precision goldens captured from the tree BEFORE the batched
+ * transient kernel existed (per-window scalar solves, immediate
+ * evaluation at the sample frame). The batched sampler must
+ * reproduce them bit for bit; a drift here means the "bit-identical
+ * at every width" contract broke, not that a tolerance needs
+ * loosening.
+ */
+void
+checkPreBatchingGoldens()
 {
-    // Full-precision goldens captured from the tree BEFORE the
-    // batched transient kernel existed (per-window scalar solves,
-    // immediate evaluation at the sample frame). The batched sampler
-    // must reproduce them bit for bit; a drift here means the
-    // "bit-identical at every width" contract broke, not that a
-    // tolerance needs loosening.
     const Golden goldens[] = {
         {core::PolicyKind::AllOn, 0x1.f6e04cf2063d9p+5,
          0x1.cb9628139c82p+3, 0x1.91a559199e6c2p-5, 0.0,
@@ -259,15 +264,19 @@ TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
                      g);
 }
 
-TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
+/**
+ * Goldens of runs that take the emergency-override path (truth
+ * windows, predictor draw, all-on re-decision), captured before the
+ * decision epoch was split into decide / truth / apply phases. The
+ * mini-chip fmm PracVT run overrides once on a predictor false
+ * alarm; the POWER8 barnes runs override on real truth-window
+ * emergencies (OracVT twice; PracVT twice, plus two false alarms)
+ * and record a non-zero emergency fraction. Checked at batch widths
+ * 1, 4 and 8 for each worker count in `jobs_list`.
+ */
+void
+checkOverrideGoldens(std::initializer_list<int> jobs_list)
 {
-    // Goldens of runs that take the emergency-override path (truth
-    // windows, predictor draw, all-on re-decision), captured before
-    // the decision epoch was split into decide / truth / apply
-    // phases. The mini-chip fmm PracVT run overrides once on a
-    // predictor false alarm; the POWER8 barnes runs override on real
-    // truth-window emergencies (OracVT twice; PracVT twice, plus two
-    // false alarms) and record a non-zero emergency fraction.
     const Golden mini[] = {
         {core::PolicyKind::OracVT, 0x1.f3f6ff4eb755dp+5,
          0x1.eb4c6fec6e888p+3, 0x1.192351334d624p-4, 0.0,
@@ -296,7 +305,7 @@ TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
 
     auto mini_chip = floorplan::buildMiniChip(2);
     auto p8_chip = floorplan::buildPower8Chip();
-    for (int jobs : {1, 4}) {
+    for (int jobs : jobs_list) {
         for (int width : {1, 4, 8}) {
             SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                          " width=" + std::to_string(width));
@@ -321,6 +330,35 @@ TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
                     g);
         }
     }
+}
+
+TEST(RunDeterminism, GoldenResultsMatchPreBatchingScalarPath)
+{
+    checkPreBatchingGoldens();
+}
+
+TEST(RunDeterminism, OverrideGoldensBitIdenticalAcrossJobsAndWidth)
+{
+    checkOverrideGoldens({1, 4});
+}
+
+// The same goldens with the kernels forced to each ISA tier: every
+// tier must give the bits the portable scalar path recorded. Worker
+// counts do not reach the kernels, so one suffices here.
+template <class Tag>
+class RunDeterminismAtTier : public test::TierFixture<Tag>
+{
+};
+TYPED_TEST_SUITE(RunDeterminismAtTier, test::AllTiers);
+
+TYPED_TEST(RunDeterminismAtTier, GoldenResultsMatchPreBatchingScalarPath)
+{
+    checkPreBatchingGoldens();
+}
+
+TYPED_TEST(RunDeterminismAtTier, OverrideGoldensBitIdenticalAcrossWidth)
+{
+    checkOverrideGoldens({1});
 }
 
 TEST(RunDeterminism, KeepingDroopTracesDoesNotChangeMetrics)

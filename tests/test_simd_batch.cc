@@ -20,6 +20,7 @@
 #include "common/simd.hh"
 #include "common/sparse.hh"
 #include "floorplan/power8.hh"
+#include "isa_tiers.hh"
 #include "pdn/domain_pdn.hh"
 #include "vreg/design.hh"
 #include "workload/cycles.hh"
@@ -314,11 +315,19 @@ class WindowBatchTest : public ::testing::Test
                 << what << " cycle " << c;
     }
 
+    // Test bodies, shared by the default-tier and per-tier suites.
+    void checkBatchMatchesScalarAtEveryCount();
+    void checkBatchMatchesScalarOnWoodburySubsets();
+    void checkSeparableMatchesFullBufferAtEveryCount();
+    void checkSeparableMatchesFullBufferOnWoodburySubsets();
+    void checkRepeatedBatchedWindowIsIdempotent();
+
     floorplan::Chip chip;
     pdn::DomainPdn dp;
 };
 
-TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
+void
+WindowBatchTest::checkBatchMatchesScalarAtEveryCount()
 {
     // The reference is the single-lane window (the W = 1 lockstep
     // kernel), so every 8/4/2 chunking must reproduce it.
@@ -357,7 +366,8 @@ TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
     }
 }
 
-TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
+void
+WindowBatchTest::checkBatchMatchesScalarOnWoodburySubsets()
 {
     // An active subset exercises the rank-r correction inside every
     // batched solve; a singleton drives the deepest downdate.
@@ -389,7 +399,8 @@ TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
     }
 }
 
-TEST_F(WindowBatchTest, SeparableMatchesFullBufferAtEveryCount)
+void
+WindowBatchTest::checkSeparableMatchesFullBufferAtEveryCount()
 {
     // Counts 1..17 hit every 8/4/2/1 chunking, including two full
     // width-8 chunks plus a single-lane tail. Both forms of each
@@ -432,7 +443,8 @@ TEST_F(WindowBatchTest, SeparableMatchesFullBufferAtEveryCount)
     EXPECT_GT(emergencies, 0);
 }
 
-TEST_F(WindowBatchTest, SeparableMatchesFullBufferOnWoodburySubsets)
+void
+WindowBatchTest::checkSeparableMatchesFullBufferOnWoodburySubsets()
 {
     // Lanes 0 and 1 share base vectors, as a truth epoch's lanes do.
     const std::size_t cycles = 120;
@@ -472,7 +484,8 @@ TEST_F(WindowBatchTest, SeparableMatchesFullBufferOnWoodburySubsets)
     }
 }
 
-TEST_F(WindowBatchTest, RepeatedBatchedWindowIsIdempotent)
+void
+WindowBatchTest::checkRepeatedBatchedWindowIsIdempotent()
 {
     // Scratch reuse across calls must not leak state between runs.
     const std::size_t cycles = 100;
@@ -489,6 +502,63 @@ TEST_F(WindowBatchTest, RepeatedBatchedWindowIsIdempotent)
     double first = out[0].maxNoiseFrac;
     dp.transientWindowBatch(specs, 4, cycles, 20, false, out);
     EXPECT_EQ(out[0].maxNoiseFrac, first);
+}
+
+TEST_F(WindowBatchTest, BatchMatchesScalarAtEveryCount)
+{
+    checkBatchMatchesScalarAtEveryCount();
+}
+
+TEST_F(WindowBatchTest, BatchMatchesScalarOnWoodburySubsets)
+{
+    checkBatchMatchesScalarOnWoodburySubsets();
+}
+
+TEST_F(WindowBatchTest, SeparableMatchesFullBufferAtEveryCount)
+{
+    checkSeparableMatchesFullBufferAtEveryCount();
+}
+
+TEST_F(WindowBatchTest, SeparableMatchesFullBufferOnWoodburySubsets)
+{
+    checkSeparableMatchesFullBufferOnWoodburySubsets();
+}
+
+TEST_F(WindowBatchTest, RepeatedBatchedWindowIsIdempotent)
+{
+    checkRepeatedBatchedWindowIsIdempotent();
+}
+
+// The lockstep window suite with the kernels forced to each ISA tier.
+template <class Tag>
+class WindowBatchAtTier : public test::TierFixture<Tag, WindowBatchTest>
+{
+};
+TYPED_TEST_SUITE(WindowBatchAtTier, test::AllTiers);
+
+TYPED_TEST(WindowBatchAtTier, BatchMatchesScalarAtEveryCount)
+{
+    this->checkBatchMatchesScalarAtEveryCount();
+}
+
+TYPED_TEST(WindowBatchAtTier, BatchMatchesScalarOnWoodburySubsets)
+{
+    this->checkBatchMatchesScalarOnWoodburySubsets();
+}
+
+TYPED_TEST(WindowBatchAtTier, SeparableMatchesFullBufferAtEveryCount)
+{
+    this->checkSeparableMatchesFullBufferAtEveryCount();
+}
+
+TYPED_TEST(WindowBatchAtTier, SeparableMatchesFullBufferOnWoodburySubsets)
+{
+    this->checkSeparableMatchesFullBufferOnWoodburySubsets();
+}
+
+TYPED_TEST(WindowBatchAtTier, RepeatedBatchedWindowIsIdempotent)
+{
+    this->checkRepeatedBatchedWindowIsIdempotent();
 }
 
 TEST_F(WindowBatchTest, DeathOnBadBatchInputs)
