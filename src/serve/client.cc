@@ -195,54 +195,6 @@ bool Client::cancel(std::string *err)
     return send(FrameType::ServeCancel, {}, err);
 }
 
-bool Client::run(const RunMsg &request, sim::RunResult &out,
-                 std::string *err, DoneMsg *doneOut)
-{
-    if (!send(FrameType::ServeRun, encodeRun(request), err))
-        return false;
-    bool haveCell = false;
-    for (;;) {
-        Frame frame;
-        if (!recv(frame, err))
-            return false;
-        if (frame.type == FrameType::ServeCell) {
-            CellMsg cell;
-            if (!decodeCell(frame.payload, cell) ||
-                !cache::decodeRunResult(cell.result.data(),
-                                        cell.result.size(), out)) {
-                setErr(err, "malformed cell result");
-                return false;
-            }
-            haveCell = true;
-            continue;
-        }
-        if (frame.type == FrameType::ServeDone) {
-            DoneMsg done;
-            if (!decodeDone(frame.payload, done)) {
-                setErr(err, "malformed completion frame");
-                return false;
-            }
-            if (doneOut)
-                *doneOut = done;
-            if (!done.ok) {
-                if (err)
-                    *err = std::string("run ") +
-                           doneStatusName(static_cast<DoneStatus>(
-                               done.status)) +
-                           ": " + done.error;
-                return false;
-            }
-            if (!haveCell) {
-                setErr(err, "completion without a result cell");
-                return false;
-            }
-            return true;
-        }
-        setErr(err, "unexpected frame during run");
-        return false;
-    }
-}
-
 bool Client::sweep(const SweepMsg &request, sim::SweepResult &out,
                    std::string *err, DoneMsg *doneOut)
 {

@@ -16,9 +16,9 @@
  * Resilience: connectWithRetry() rides out a server that is still
  * booting (or briefly restarting) with bounded exponential backoff —
  * each attempt must also answer a Ping before the connection counts,
- * so a half-up listener never passes for ready. run()/sweep() can
- * surface the final DoneMsg so callers distinguish Busy (retry
- * later) from request errors and cancellation.
+ * so a half-up listener never passes for ready. sweep() can surface
+ * the final DoneMsg so callers distinguish Busy (retry later) from
+ * request errors and cancellation.
  */
 
 #ifndef TG_SERVE_CLIENT_HH
@@ -70,25 +70,19 @@ class Client
      * Ask the server to cancel this connection's queued or in-flight
      * request. Fire-and-forget at the frame level: the outcome
      * arrives as the original request's DoneMsg (Cancelled), which
-     * the in-progress run()/sweep() call observes.
+     * the in-progress sweep() call observes.
      */
     bool cancel(std::string *err);
-
-    /**
-     * Execute one run on the server. A non-null `doneOut` receives
-     * the final DoneMsg even on failure, so callers can tell Busy
-     * (retry after doneOut->retryAfterMs) from a request error or a
-     * cancellation/deadline abort.
-     */
-    bool run(const RunMsg &request, sim::RunResult &out,
-             std::string *err, DoneMsg *doneOut = nullptr);
 
     /**
      * Execute a sweep on the server. `out` gets the request's
      * benchmark/policy grid with every streamed cell decoded into
      * its canonical slot; with a cell subset the untouched slots stay
-     * default-constructed, exactly like a local partial sweep.
-     * `doneOut` as in run().
+     * default-constructed, exactly like a local partial sweep; a
+     * single run is the one-cell sweep {benchmark} x {policy}. A
+     * non-null `doneOut` receives the final DoneMsg even on failure,
+     * so callers can tell Busy (retry after doneOut->retryAfterMs)
+     * from a request error or a cancellation/deadline abort.
      */
     bool sweep(const SweepMsg &request, sim::SweepResult &out,
                std::string *err, DoneMsg *doneOut = nullptr);

@@ -19,8 +19,7 @@ using bytes::ByteWriter;
 constexpr std::uint64_t kMaxListLen = 1ull << 24;
 
 // The RecordOptions scalars: flags as u8, integers as i64.
-template <class Msg>
-void writeOpts(ByteWriter &w, const Msg &m)
+void writeOpts(ByteWriter &w, const SweepMsg &m)
 {
     visitRecordOptions(m, [&](const auto &wire, auto) {
         if constexpr (std::is_same_v<std::decay_t<decltype(wire)>,
@@ -31,8 +30,7 @@ void writeOpts(ByteWriter &w, const Msg &m)
     });
 }
 
-template <class Msg>
-void readOpts(ByteReader &r, Msg &m)
+void readOpts(ByteReader &r, SweepMsg &m)
 {
     visitRecordOptions(m, [&](auto &wire, auto) {
         if constexpr (std::is_same_v<std::decay_t<decltype(wire)>,
@@ -67,27 +65,22 @@ const char *doneStatusName(DoneStatus s)
     return "unknown";
 }
 
-std::vector<std::uint8_t> encodeRun(const RunMsg &m)
+sim::RecordOptions recordOptions(const SweepMsg &m,
+                                 sim::RecordOptions base)
 {
-    ByteWriter w;
-    w.blob(m.setup);
-    w.str(m.benchmark);
-    w.u32(m.policy);
-    writeOpts(w, m);
-    w.u64(m.deadlineMs);
-    return w.take();
+    visitRecordOptions(m, [&](const auto &wire, auto field) {
+        using T = std::remove_reference_t<decltype(base.*field)>;
+        base.*field = static_cast<T>(wire);
+    });
+    return base;
 }
 
-bool decodeRun(const std::vector<std::uint8_t> &p, RunMsg &out)
+void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts)
 {
-    ByteReader r(p.data(), p.size());
-    if (!r.blob(out.setup))
-        return false;
-    out.benchmark = r.str();
-    out.policy = r.u32();
-    readOpts(r, out);
-    out.deadlineMs = r.u64();
-    return r.exhausted();
+    visitRecordOptions(m, [&](auto &wire, auto field) {
+        wire = static_cast<std::remove_reference_t<decltype(wire)>>(
+            opts.*field);
+    });
 }
 
 std::vector<std::uint8_t> encodeSweep(const SweepMsg &m)
@@ -189,7 +182,6 @@ std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
 {
     ByteWriter w;
     w.u64(m.uptimeMicros);
-    w.u64(m.requestsRun);
     w.u64(m.requestsSweep);
     w.u64(m.requestsPing);
     w.u64(m.requestsStats);
@@ -198,7 +190,6 @@ std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m)
     w.u64(m.contextsBuilt);
     w.u64(m.contextsReused);
     w.u64(m.queueDepth);
-    w.u64(m.runMicros);
     w.u64(m.sweepMicros);
     w.u64(m.requestsBusy);
     w.u64(m.requestsCancelled);
@@ -228,7 +219,6 @@ bool decodeStatsReply(const std::vector<std::uint8_t> &p,
 {
     ByteReader r(p.data(), p.size());
     out.uptimeMicros = r.u64();
-    out.requestsRun = r.u64();
     out.requestsSweep = r.u64();
     out.requestsPing = r.u64();
     out.requestsStats = r.u64();
@@ -237,7 +227,6 @@ bool decodeStatsReply(const std::vector<std::uint8_t> &p,
     out.contextsBuilt = r.u64();
     out.contextsReused = r.u64();
     out.queueDepth = r.u64();
-    out.runMicros = r.u64();
     out.sweepMicros = r.u64();
     out.requestsBusy = r.u64();
     out.requestsCancelled = r.u64();

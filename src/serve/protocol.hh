@@ -7,13 +7,16 @@
  * payloads) over a Unix-domain socket, or over the inherited
  * socketpair of a shard worker. A session is request/response:
  *
- *     client -> server : ServeRun | ServeSweep | ServeStats | Ping
+ *     client -> server : ServeSweep | ServeStats | Ping
  *                        | ServeCancel | Shutdown
  *     server -> client : ServeCell*  (streamed as cells finish)
  *     server -> client : ServeDone   (status + optional error string)
  *     server -> client : ServeStatsReply / Pong
  *
- * Robustness semantics (v3): Run/Sweep carry an optional deadlineMs
+ * One request kind: a single run is a one-cell ServeSweep, answered
+ * by one ServeCell (cell 0) and a ServeDone with cells = 1.
+ *
+ * Robustness semantics (v3): a sweep carries an optional deadlineMs
  * the server enforces mid-execution; ServeCancel (empty payload)
  * aborts the connection's queued or in-flight request; ServeDone
  * reports a DoneStatus so a client can tell apart success, request
@@ -42,36 +45,18 @@ namespace tg {
 namespace serve {
 
 /**
- * Client -> server: one simulation run. `setup` is a
+ * Client -> server: a benchmark x policy sweep (the full grid, or an
+ * arbitrary cell subset in the canonical `b * policies.size() + p`
+ * indexing), the daemon's one request kind. A single run is the
+ * one-cell sweep {benchmark} x {policy}; a shard of a sharded sweep
+ * is one SweepMsg whose `cells` is the shard. `setup` is a
  * shard::encodeBasicSetup blob (chip kind + the whole SimConfig
  * schema; a config sim::configError() refuses gets an Error reply);
  * the RecordOptions scalars ride explicitly (visitRecordOptions).
- */
-struct RunMsg
-{
-    std::vector<std::uint8_t> setup;
-    std::string benchmark;
-    std::uint32_t policy = 0;
-    // RecordOptions scalars (see visitRecordOptions).
-    std::uint8_t timeSeries = 0;
-    std::uint8_t heatmap = 0;
-    std::uint8_t noiseTrace = 0;
-    std::int64_t trackVr = -1;
-    std::int64_t noiseSamplesOverride = -1;
-    /** Wall-clock budget in ms; 0 = none. The server arms it when the
-     *  request is accepted (queue wait counts against it) and aborts
-     *  the execution mid-sweep once it passes. */
-    std::uint64_t deadlineMs = 0;
-};
-
-/**
- * Client -> server: a benchmark x policy sweep (the full grid, or an
- * arbitrary cell subset in the canonical `b * policies.size() + p`
- * indexing). `jobs` > 1 asks for intra-request parallelism: a
- * listening daemon then fans out on its pool, an adopted one (a
- * shard worker) on exactly `jobs` threads. Results are bit-identical
- * at any width, so the choice cannot change a byte. A shard of a
- * sharded sweep is one SweepMsg whose `cells` is the shard.
+ * `jobs` > 1 asks for intra-request parallelism: a listening daemon
+ * then fans out on its whole pool (its own --jobs), an adopted one
+ * (a shard worker) on exactly `jobs` threads. Results are
+ * bit-identical at any width, so the choice cannot change a byte.
  */
 struct SweepMsg
 {
@@ -86,20 +71,24 @@ struct SweepMsg
     std::uint8_t noiseTrace = 0;
     std::int64_t trackVr = -1;
     std::int64_t noiseSamplesOverride = -1;
-    std::uint64_t deadlineMs = 0; //!< see RunMsg::deadlineMs
+    /** Wall-clock budget in ms; 0 = none. The server arms it when the
+     *  request is accepted (queue wait counts against it) and aborts
+     *  the execution mid-sweep once it passes. */
+    std::uint64_t deadlineMs = 0;
 };
 
 /**
- * The RecordOptions scalars of a RunMsg or SweepMsg, each paired with
- * its sim::RecordOptions field: `v(wire_field, &RecordOptions::f)`
- * once per scalar, in wire order. The payload codecs and both
- * conversions below run off this list, so a new scalar is one line
- * here. (A fault scenario is a pointer and never travels; encode it
- * in the setup blob instead.)
+ * The RecordOptions scalars of a SweepMsg (`M` is SweepMsg or const
+ * SweepMsg), each paired with its sim::RecordOptions field:
+ * `v(wire_field, &RecordOptions::f)` once per scalar, in wire order.
+ * The payload codec and both conversions below run off this list, so
+ * a new scalar is one line here. (A fault scenario is a pointer and
+ * never travels; encode it in the setup blob instead.)
  */
-template <class Msg, class V>
+template <class M, class V>
+    requires std::is_same_v<std::remove_const_t<M>, SweepMsg>
 void
-visitRecordOptions(Msg &m, V &&v)
+visitRecordOptions(M &m, V &&v)
 {
     using O = sim::RecordOptions;
     v(m.timeSeries, &O::timeSeries);
@@ -110,27 +99,11 @@ visitRecordOptions(Msg &m, V &&v)
 }
 
 /** `base` with the message's RecordOptions scalars applied. */
-template <class Msg>
-sim::RecordOptions
-recordOptions(const Msg &m, sim::RecordOptions base = {})
-{
-    visitRecordOptions(m, [&](const auto &wire, auto field) {
-        using T = std::remove_reference_t<decltype(base.*field)>;
-        base.*field = static_cast<T>(wire);
-    });
-    return base;
-}
+sim::RecordOptions recordOptions(const SweepMsg &m,
+                                 sim::RecordOptions base = {});
 
 /** Copy the RecordOptions scalars of `opts` onto a message. */
-template <class Msg>
-void
-setRecordOptions(Msg &m, const sim::RecordOptions &opts)
-{
-    visitRecordOptions(m, [&](auto &wire, auto field) {
-        wire = static_cast<std::remove_reference_t<decltype(wire)>>(
-            opts.*field);
-    });
-}
+void setRecordOptions(SweepMsg &m, const sim::RecordOptions &opts);
 
 /** Server -> client: one finished cell (cache::encodeRunResult). */
 struct CellMsg
@@ -176,7 +149,6 @@ struct DoneMsg
 struct StatsReplyMsg
 {
     std::uint64_t uptimeMicros = 0;
-    std::uint64_t requestsRun = 0;
     std::uint64_t requestsSweep = 0;
     std::uint64_t requestsPing = 0;
     std::uint64_t requestsStats = 0;
@@ -185,7 +157,6 @@ struct StatsReplyMsg
     std::uint64_t contextsBuilt = 0;  //!< warm-context cache misses
     std::uint64_t contextsReused = 0; //!< warm-context cache hits
     std::uint64_t queueDepth = 0;     //!< requests waiting at snapshot
-    std::uint64_t runMicros = 0;   //!< cumulative Run execution time
     std::uint64_t sweepMicros = 0; //!< cumulative Sweep execution time
     std::uint64_t requestsBusy = 0;      //!< admission rejections
     std::uint64_t requestsCancelled = 0; //!< cancel/disconnect aborts
@@ -194,14 +165,12 @@ struct StatsReplyMsg
     cache::StoreStats store;
 };
 
-std::vector<std::uint8_t> encodeRun(const RunMsg &m);
 std::vector<std::uint8_t> encodeSweep(const SweepMsg &m);
 std::vector<std::uint8_t> encodeCell(const CellMsg &m);
 std::vector<std::uint8_t> encodeDone(const DoneMsg &m);
 std::vector<std::uint8_t> encodeStatsReply(const StatsReplyMsg &m);
 
 /** Decoders reject truncated, malformed and trailing-garbage input. */
-bool decodeRun(const std::vector<std::uint8_t> &p, RunMsg &out);
 bool decodeSweep(const std::vector<std::uint8_t> &p, SweepMsg &out);
 bool decodeCell(const std::vector<std::uint8_t> &p, CellMsg &out);
 bool decodeDone(const std::vector<std::uint8_t> &p, DoneMsg &out);

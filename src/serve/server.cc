@@ -75,12 +75,10 @@ struct Conn
     bool closing = false; //!< close once `out` drains
 };
 
-/** A Run/Sweep waiting for the executor. */
+/** A sweep waiting for the executor. */
 struct PendingRequest
 {
     std::uint64_t connId = 0;
-    bool isRun = false;
-    RunMsg run;
     SweepMsg sweep;
     /** Trips on client disconnect, ServeCancel, or deadline expiry
      *  (armed at admission). shared_ptr: the poll thread must reach
@@ -156,7 +154,6 @@ struct Server::Impl
     Clock::time_point startTime = Clock::now();
 
     // Counters (relaxed: snapshots are advisory, like StoreStats).
-    std::atomic<std::uint64_t> requestsRun{0};
     std::atomic<std::uint64_t> requestsSweep{0};
     std::atomic<std::uint64_t> requestsPing{0};
     std::atomic<std::uint64_t> requestsStats{0};
@@ -165,7 +162,6 @@ struct Server::Impl
     std::atomic<std::uint64_t> contextsBuilt{0};
     std::atomic<std::uint64_t> contextsReused{0};
     std::atomic<std::uint64_t> queueDepth{0};
-    std::atomic<std::uint64_t> runMicros{0};
     std::atomic<std::uint64_t> sweepMicros{0};
     std::atomic<std::uint64_t> requestsBusy{0};
     std::atomic<std::uint64_t> requestsCancelled{0};
@@ -218,7 +214,6 @@ struct Server::Impl
     {
         StatsReplyMsg s;
         s.uptimeMicros = microsSince(startTime);
-        s.requestsRun = requestsRun.load();
         s.requestsSweep = requestsSweep.load();
         s.requestsPing = requestsPing.load();
         s.requestsStats = requestsStats.load();
@@ -227,7 +222,6 @@ struct Server::Impl
         s.contextsBuilt = contextsBuilt.load();
         s.contextsReused = contextsReused.load();
         s.queueDepth = queueDepth.load();
-        s.runMicros = runMicros.load();
         s.sweepMicros = sweepMicros.load();
         s.requestsBusy = requestsBusy.load();
         s.requestsCancelled = requestsCancelled.load();
@@ -274,31 +268,6 @@ struct Server::Impl
         postDone(req.connId, DoneStatus::Error, 0, err);
     }
 
-    void executeRun(const PendingRequest &req)
-    {
-        const Clock::time_point t0 = Clock::now();
-        const RunMsg &m = req.run;
-        if (!benchmarkExists(m.benchmark))
-            return reject(req, "unknown benchmark '" + m.benchmark + "'");
-        if (!policyExists(m.policy))
-            return reject(req, "unknown policy kind");
-        Ctx &ctx = contextFor(m.setup);
-        sim::RecordOptions opts = recordOptions(m, ctx.setup.opts);
-        opts.cancel = req.cancel.get();
-        sim::RunResult r = ctx.sim->run(
-            workload::profileByName(m.benchmark),
-            static_cast<core::PolicyKind>(m.policy), opts);
-        CellMsg cell;
-        cell.cell = 0;
-        cell.result = cache::encodeRunResult(r);
-        post(req.connId, FrameType::ServeCell, encodeCell(cell));
-        postDone(req.connId, DoneStatus::Ok, 1, {});
-        requestsRun.fetch_add(1, std::memory_order_relaxed);
-        cellsServed.fetch_add(1, std::memory_order_relaxed);
-        runMicros.fetch_add(microsSince(t0),
-                            std::memory_order_relaxed);
-    }
-
     void executeSweep(const PendingRequest &req)
     {
         const Clock::time_point t0 = Clock::now();
@@ -325,9 +294,17 @@ struct Server::Impl
                     err = "sweep cell index out of range";
                     break;
                 }
+        // The i64 wire scalars narrow to int: range-check them first.
+        if (err.empty() && (m.noiseSamplesOverride < -1 ||
+                            m.noiseSamplesOverride > sim::kMaxNoiseSamples))
+            err = "noiseSamplesOverride outside [-1, noiseSamples cap]";
         if (!err.empty())
             return reject(req, err);
         Ctx &ctx = contextFor(m.setup);
+        if (m.trackVr < -1 ||
+            m.trackVr >= static_cast<std::int64_t>(
+                             ctx.setup.chip.plan.vrs().size()))
+            return reject(req, "trackVr is neither -1 nor a VR id");
 
         std::vector<core::PolicyKind> policies;
         policies.reserve(m.policies.size());
@@ -397,10 +374,7 @@ struct Server::Impl
             }
             activeRequests.store(1, std::memory_order_relaxed);
             try {
-                if (req.isRun)
-                    executeRun(req);
-                else
-                    executeSweep(req);
+                executeSweep(req);
             } catch (const exec::CancelledError &e) {
                 // The sweep unwound at a cell/epoch boundary; the
                 // contexts in the LRU are intact (each run resets
@@ -475,11 +449,11 @@ struct Server::Impl
      * maxQueueDepth. The reject happens here on the poll thread —
      * overload answers in microseconds, it never waits in line.
      */
-    bool enqueueRequest(PendingRequest &&req, std::uint64_t deadlineMs)
+    bool enqueueRequest(PendingRequest &&req)
     {
         req.cancel = std::make_shared<exec::CancelToken>();
-        if (deadlineMs > 0)
-            req.cancel->setDeadlineIn(deadlineMs);
+        if (req.sweep.deadlineMs > 0)
+            req.cancel->setDeadlineIn(req.sweep.deadlineMs);
         {
             std::lock_guard<std::mutex> lock(reqMu);
             if (queue.size() >=
@@ -568,27 +542,6 @@ struct Server::Impl
                                               0, "cancelled")));
             return true;
         }
-        case FrameType::ServeRun: {
-            PendingRequest req;
-            req.connId = c.id;
-            req.isRun = true;
-            if (!decodeRun(frame.payload, req.run)) {
-                requestsRejected.fetch_add(1,
-                                           std::memory_order_relaxed);
-                appendOut(c, FrameType::ServeDone,
-                          encodeDone(makeDone(
-                              DoneStatus::Error, 0,
-                              "malformed ServeRun payload")));
-                return true;
-            }
-            const std::uint64_t deadlineMs = req.run.deadlineMs;
-            if (!enqueueRequest(std::move(req), deadlineMs))
-                appendOut(c, FrameType::ServeDone,
-                          encodeDone(makeDone(
-                              DoneStatus::Busy, 0, "queue full",
-                              options.busyRetryMs)));
-            return true;
-        }
         case FrameType::ServeSweep: {
             PendingRequest req;
             req.connId = c.id;
@@ -601,8 +554,7 @@ struct Server::Impl
                               "malformed ServeSweep payload")));
                 return true;
             }
-            const std::uint64_t deadlineMs = req.sweep.deadlineMs;
-            if (!enqueueRequest(std::move(req), deadlineMs))
+            if (!enqueueRequest(std::move(req)))
                 appendOut(c, FrameType::ServeDone,
                           encodeDone(makeDone(
                               DoneStatus::Busy, 0, "queue full",

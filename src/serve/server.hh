@@ -4,8 +4,8 @@
  *
  * A daemon process pays the expensive per-process warm-up — thermal
  * and PDN factorisations, predictor calibration, the in-memory
- * ArtifactStore — once, then answers Run/Sweep requests over a
- * Unix-domain socket for its whole lifetime. A repeat sweep against
+ * ArtifactStore — once, then answers sweep requests (a single run is
+ * a one-cell sweep) over a Unix-domain socket for its whole lifetime. A repeat sweep against
  * a warm daemon skips straight to cache hits, which is the entire
  * point: the cold-start cost that dominates short CLI invocations
  * amortises to zero (bench/serve_latency measures the ladder).
@@ -16,7 +16,7 @@
  *                   self-pipe for wake-ups, and one non-blocking fd
  *                   per client with an outbound buffer. It decodes
  *                   frames, answers Ping/Stats inline, and enqueues
- *                   Run/Sweep work for the executor.
+ *                   sweep work for the executor.
  *   executor thread pops requests FIFO, resolves a warm simulation
  *                   context (LRU cache keyed by the setup blob), and
  *                   runs cells on the process-lifetime ThreadPool,
@@ -28,17 +28,17 @@
  * would only thrash the context cache without adding throughput.
  *
  * Bit-identity: a served result is produced by the same
- * Simulation::run/runSweepCells code path as a direct in-process
- * call, and every run is a deterministic function of (chip, config,
- * benchmark, policy, opts) — so the bytes streamed back are
- * bit-identical to a local computation at any jobs count
+ * runSweepCells code path as a direct in-process sweep, and every
+ * run is a deterministic function of (chip, config, benchmark,
+ * policy, opts) — so the bytes streamed back are bit-identical to a
+ * local computation at any jobs count
  * (tests/test_serve_run.cc asserts this end to end).
  *
  * A malformed or invalid request gets an error DoneMsg (or, for a
  * corrupt frame stream, a dropped connection) — never a daemon
  * abort: all client input is handled by non-fatal decoders.
  *
- * Robustness: every accepted Run/Sweep carries a CancelToken. The
+ * Robustness: every accepted sweep carries a CancelToken. The
  * token trips when the client disconnects, sends ServeCancel, or the
  * request's deadlineMs (armed at admission, so queue wait counts)
  * expires; the executing sweep observes it at the next cell/epoch
@@ -87,7 +87,7 @@ struct ServerOptions
     /** Warm simulation contexts kept (LRU); each holds a chip's
      *  factorisations, predictor fit and per-worker Simulations. */
     int contextCacheSize = 4;
-    /** Admission bound: Run/Sweep requests waiting for the executor
+    /** Admission bound: sweep requests waiting for the executor
      *  beyond this get an immediate DoneStatus::Busy. */
     int maxQueueDepth = 64;
     /** Drop a connection whose unsent outbound bytes exceed this (a

@@ -39,8 +39,9 @@ std::uint32_t readU32At(const std::uint8_t *q)
 
 bool frameTypeValid(std::uint32_t t)
 {
-    return t >= static_cast<std::uint32_t>(FrameType::Shutdown) &&
-           t <= static_cast<std::uint32_t>(FrameType::ServeCancel);
+    return t == static_cast<std::uint32_t>(FrameType::Shutdown) ||
+           (t >= static_cast<std::uint32_t>(FrameType::ServeSweep) &&
+            t <= static_cast<std::uint32_t>(FrameType::ServeCancel));
 }
 
 std::vector<std::uint8_t>

@@ -37,14 +37,15 @@ constexpr std::uint32_t kFrameMagic = 0x31534754;
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /** Frame types. The numbers are the wire values: 1-6 belonged to
- *  the retired shard-only messages and stay unused, so a peer built
- *  against the older registry still interoperates. The frame layer
- *  treats payloads as opaque bytes (codecs in serve/protocol.hh). */
+ *  the retired shard-only messages and 8 to the retired single-run
+ *  request (a single run is a one-cell sweep); they stay unused, so
+ *  a peer built against the older registry still interoperates. The
+ *  frame layer treats payloads as opaque bytes (codecs in
+ *  serve/protocol.hh). */
 enum class FrameType : std::uint32_t
 {
     Shutdown = 7,    //!< client -> server clean exit request
-    ServeRun,        //!< client -> server single-run request
-    ServeSweep,      //!< client -> server sweep request
+    ServeSweep = 9,  //!< client -> server sweep request
     ServeCell,       //!< server -> client one finished cell
     ServeDone,       //!< server -> client request complete (ok/error)
     ServeStats,      //!< client -> server stats request (empty)

@@ -1,6 +1,8 @@
 #include "sim/config.hh"
 
 #include <cmath>
+#include <sstream>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -49,6 +51,36 @@ configError(const SimConfig &cfg)
     for (const auto &[ok, why] : checks)
         if (!ok)
             return why;
+
+    // Size caps (config.hh), checked once the preconditions hold.
+    const std::tuple<bool, const char *, double> caps[] = {
+        {static_cast<long long>(t.gridW) * t.gridH <= kMaxThermalCells,
+         "thermalParams.gridW x gridH cells above ",
+         static_cast<double>(kMaxThermalCells)},
+        {static_cast<long long>(t.spreaderN) * t.spreaderN <=
+             kMaxThermalCells,
+         "thermalParams.spreaderN^2 cells above ",
+         static_cast<double>(kMaxThermalCells)},
+        {cfg.pdnParams.nodePitch >= kMinNodePitch,
+         "pdnParams.nodePitch [m] below ", kMinNodePitch},
+        {t.step >= kMinThermalStep, "thermalParams.step [s] below ",
+         kMinThermalStep},
+        {cfg.decisionInterval / t.step <= kMaxFramesPerEpoch,
+         "decisionInterval / thermalParams.step frames above ",
+         kMaxFramesPerEpoch},
+        {cfg.noiseCyclesTotal <= kMaxNoiseCycles,
+         "noiseCyclesTotal above ", kMaxNoiseCycles},
+        {cfg.noiseSamples <= kMaxNoiseSamples, "noiseSamples above ",
+         kMaxNoiseSamples},
+        {cfg.profilingEpochs <= kMaxProfilingEpochs,
+         "profilingEpochs above ", kMaxProfilingEpochs},
+    };
+    for (const auto &[ok, what, limit] : caps)
+        if (!ok) {
+            std::ostringstream os;
+            os << what << limit;
+            return os.str();
+        }
     return {};
 }
 

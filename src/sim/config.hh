@@ -237,10 +237,28 @@ visitConfig(Cfg &c, V &&v)
 }
 
 /**
+ * Size caps on the SimConfig leaves that size an allocation or a
+ * loop, so a config from outside the process (a served or sharded
+ * sweep's setup blob) cannot make the daemon allocate without bound.
+ * Each sits at 10x or more of the largest value any test, bench,
+ * example or perfbench workload uses: a 32 x 32 die grid, an 8 x 8
+ * spreader, the 0.9 mm PDN pitch, the 10 us thermal step, 400 frames
+ * per epoch, 2000-cycle windows, 200 windows and 24 profiling epochs.
+ */
+constexpr long long kMaxThermalCells = 128 * 128; //!< die grid; spreader
+constexpr double kMinNodePitch = 0.25e-3; //!< [m]: 13x the PDN nodes
+constexpr double kMinThermalStep = 1e-6;  //!< [s]: 10x the frames
+constexpr double kMaxFramesPerEpoch = 4096; //!< decisionInterval / step
+constexpr int kMaxNoiseCycles = 1 << 15;
+constexpr int kMaxNoiseSamples = 4096; //!< also caps noiseSamplesOverride
+constexpr int kMaxProfilingEpochs = 256;
+
+/**
  * Why `cfg` cannot build or run a Simulation, or the empty string
  * when it can: mirrors the preconditions the model constructors and
- * the noise kernel assert, and rejects non-finite doubles, so a
- * config from outside the process is refused instead of aborting it.
+ * the noise kernel assert, rejects non-finite doubles and applies the
+ * size caps above, so a config from outside the process is refused
+ * instead of aborting or exhausting it. The error names the field.
  */
 std::string configError(const SimConfig &cfg);
 

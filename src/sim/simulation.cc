@@ -598,37 +598,37 @@ Simulation::runMixed(
         }
     }
 
-    std::vector<Celsius> temps;
-    {
+    // Settle the thermal state at frame 0 under the current active
+    // sets: `iterations` rounds of the leakage -> per-domain VR loss
+    // -> steady-state fixed point. Empty sets (off-chip) add no loss.
+    std::vector<Celsius> temps =
+        tm.uniformState(cfg.thermalParams.ambient + 12.0);
+    auto settle = [&](int iterations) {
         const Watts *dyn0 = trace->frame(0);
-        temps = tm.uniformState(cfg.thermalParams.ambient + 12.0);
-        for (int it = 0; it < 4; ++it) {
+        for (int it = 0; it < iterations; ++it) {
             tm.blockTempsInto(temps, fs.blockT);
             pm.leakageFrameInto(fs.blockT, fs.leak);
             std::vector<Watts> block_power(dyn0, dyn0 + n_blocks);
             for (std::size_t b = 0; b < block_power.size(); ++b)
                 block_power[b] += fs.leak[b];
             std::fill(vr_loss.begin(), vr_loss.end(), 0.0);
-            if (!off_chip) {
-                for (int d = 0; d < n_domains; ++d) {
-                    Amperes i_d = pm.domainCurrent(block_power, d);
-                    const auto &set =
-                        active_sets[static_cast<std::size_t>(d)];
-                    auto op = networks[static_cast<std::size_t>(d)]
-                                  .evaluate(i_d,
-                                            static_cast<int>(
-                                                set.size()));
-                    for (int l : set)
-                        vr_loss[static_cast<std::size_t>(
-                            domains[static_cast<std::size_t>(d)]
-                                .vrs[static_cast<std::size_t>(l)])] =
-                            op.plossTotal / set.size();
-                }
+            for (int d = 0; d < n_domains; ++d) {
+                const auto &set = active_sets[static_cast<std::size_t>(d)];
+                if (set.empty())
+                    continue;
+                Amperes i_d = pm.domainCurrent(block_power, d);
+                auto op = networks[static_cast<std::size_t>(d)].evaluate(
+                    i_d, static_cast<int>(set.size()));
+                for (int l : set)
+                    vr_loss[static_cast<std::size_t>(
+                        domains[static_cast<std::size_t>(d)]
+                            .vrs[static_cast<std::size_t>(l)])] =
+                        op.plossTotal / set.size();
             }
-            temps = tm.steadyState(tm.powerVector(block_power,
-                                                  vr_loss));
+            temps = tm.steadyState(tm.powerVector(block_power, vr_loss));
         }
-    }
+    };
+    settle(4);
     {
         fs.vrT.resize(static_cast<std::size_t>(n_vrs));
         for (int v = 0; v < n_vrs; ++v)
@@ -1040,38 +1040,7 @@ Simulation::runMixed(
             // bootstrap state (otherwise every policy would inherit
             // the all-on maximum).
             if (e == 0) {
-                for (int it = 0; it < 3; ++it) {
-                    tm.blockTempsInto(temps, fs.blockT);
-                    pm.leakageFrameInto(fs.blockT, fs.leak);
-                    const Watts *dyn0 = trace->frame(0);
-                    std::vector<Watts> block_power(dyn0,
-                                                   dyn0 + n_blocks);
-                    for (std::size_t b = 0; b < block_power.size();
-                         ++b)
-                        block_power[b] += fs.leak[b];
-                    std::fill(vr_loss.begin(), vr_loss.end(), 0.0);
-                    for (int d = 0; d < n_domains; ++d) {
-                        const auto &dom =
-                            domains[static_cast<std::size_t>(d)];
-                        const auto &set = active_sets[
-                            static_cast<std::size_t>(d)];
-                        if (set.empty())
-                            continue;
-                        Amperes i_d =
-                            pm.domainCurrent(block_power, d);
-                        auto op =
-                            networks[static_cast<std::size_t>(d)]
-                                .evaluate(i_d, static_cast<int>(
-                                                   set.size()));
-                        for (int l : set)
-                            vr_loss[static_cast<std::size_t>(
-                                dom.vrs[static_cast<std::size_t>(
-                                    l)])] = op.plossTotal /
-                                            set.size();
-                    }
-                    temps = tm.steadyState(
-                        tm.powerVector(block_power, vr_loss));
-                }
+                settle(3);
                 const Watts *dyn0 = trace->frame(0);
                 last_block_power.assign(dyn0, dyn0 + n_blocks);
                 tm.blockTempsInto(temps, fs.blockT);

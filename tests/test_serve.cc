@@ -17,21 +17,6 @@ namespace tg {
 namespace serve {
 namespace {
 
-RunMsg sampleRun()
-{
-    RunMsg m;
-    m.setup = {1, 2, 3, 4, 5};
-    m.benchmark = "rayt";
-    m.policy = 3;
-    m.timeSeries = 1;
-    m.heatmap = 0;
-    m.noiseTrace = 1;
-    m.trackVr = 17;
-    m.noiseSamplesOverride = 9;
-    m.deadlineMs = 2500;
-    return m;
-}
-
 SweepMsg sampleSweep()
 {
     SweepMsg m;
@@ -45,22 +30,6 @@ SweepMsg sampleSweep()
     m.noiseSamplesOverride = -1;
     m.deadlineMs = 60000;
     return m;
-}
-
-TEST(ServeProtocol, RunRoundTrip)
-{
-    const RunMsg in = sampleRun();
-    RunMsg out;
-    ASSERT_TRUE(decodeRun(encodeRun(in), out));
-    EXPECT_EQ(out.setup, in.setup);
-    EXPECT_EQ(out.benchmark, in.benchmark);
-    EXPECT_EQ(out.policy, in.policy);
-    EXPECT_EQ(out.timeSeries, in.timeSeries);
-    EXPECT_EQ(out.heatmap, in.heatmap);
-    EXPECT_EQ(out.noiseTrace, in.noiseTrace);
-    EXPECT_EQ(out.trackVr, in.trackVr);
-    EXPECT_EQ(out.noiseSamplesOverride, in.noiseSamplesOverride);
-    EXPECT_EQ(out.deadlineMs, in.deadlineMs);
 }
 
 TEST(ServeProtocol, SweepRoundTrip)
@@ -128,7 +97,6 @@ TEST(ServeProtocol, StatsReplyRoundTripIncludesStoreSnapshot)
 {
     StatsReplyMsg in;
     in.uptimeMicros = 1234567;
-    in.requestsRun = 1;
     in.requestsSweep = 2;
     in.requestsPing = 3;
     in.requestsStats = 4;
@@ -137,7 +105,6 @@ TEST(ServeProtocol, StatsReplyRoundTripIncludesStoreSnapshot)
     in.contextsBuilt = 7;
     in.contextsReused = 8;
     in.queueDepth = 9;
-    in.runMicros = 10;
     in.sweepMicros = 11;
     for (std::size_t k = 0; k < in.store.kind.size(); ++k) {
         in.store.kind[k].hits = 100 + k;
@@ -182,15 +149,6 @@ TEST(ServeProtocol, StatsReplyRoundTripIncludesStoreSnapshot)
 
 TEST(ServeProtocol, TruncationIsRejectedAtEveryPrefix)
 {
-    const std::vector<std::uint8_t> runBytes =
-        encodeRun(sampleRun());
-    for (std::size_t cut = 0; cut < runBytes.size(); ++cut) {
-        RunMsg out;
-        const std::vector<std::uint8_t> prefix(
-            runBytes.begin(),
-            runBytes.begin() + static_cast<std::ptrdiff_t>(cut));
-        EXPECT_FALSE(decodeRun(prefix, out)) << "cut=" << cut;
-    }
     const std::vector<std::uint8_t> sweepBytes =
         encodeSweep(sampleSweep());
     for (std::size_t cut = 0; cut < sweepBytes.size(); ++cut) {
@@ -251,7 +209,7 @@ TEST(ServeProtocol, ServeFrameTypesAreValidFrameTypes)
     // no remaining type may be renumbered.
     using shard::FrameType;
     const std::pair<FrameType, std::uint32_t> wire[] = {
-        {FrameType::Shutdown, 7},     {FrameType::ServeRun, 8},
+        {FrameType::Shutdown, 7},
         {FrameType::ServeSweep, 9},   {FrameType::ServeCell, 10},
         {FrameType::ServeDone, 11},   {FrameType::ServeStats, 12},
         {FrameType::ServeStatsReply, 13}, {FrameType::Ping, 14},
@@ -261,9 +219,11 @@ TEST(ServeProtocol, ServeFrameTypesAreValidFrameTypes)
         EXPECT_EQ(static_cast<std::uint32_t>(type), value);
         EXPECT_TRUE(shard::frameTypeValid(value)) << value;
     }
-    // ...and the parser rejects everything outside that range.
-    EXPECT_FALSE(shard::frameTypeValid(6));
-    EXPECT_FALSE(shard::frameTypeValid(17));
+    // ...and the parser rejects everything else: the retired values
+    // (1-6 the old shard-only messages, 8 the single-run request, now
+    // a one-cell sweep) and everything past the registry.
+    for (std::uint32_t retired : {0u, 1u, 6u, 8u, 17u})
+        EXPECT_FALSE(shard::frameTypeValid(retired)) << retired;
 }
 
 } // namespace

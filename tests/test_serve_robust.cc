@@ -20,6 +20,7 @@
 #include <vector>
 
 #ifdef __unix__
+#include <poll.h>
 #include <unistd.h>
 #endif
 
@@ -148,6 +149,34 @@ class ServeRobust : public ::testing::Test
         return false;
     }
 
+    /**
+     * Read a raw connection's stream up to its ServeDone. Blocking but
+     * bounded: each wait for the next frame gives up after a minute,
+     * which covers a whole sweep's cell under a sanitizer build.
+     */
+    static bool readUntilDone(int fd, DoneMsg &done)
+    {
+        shard::FrameParser parser;
+        bool finished = false;
+        bool decoded = false;
+        while (!finished) {
+            pollfd p{fd, POLLIN, 0};
+            if (::poll(&p, 1, 60000) <= 0)
+                return false;
+            const shard::PumpStatus st = shard::pumpFrames(
+                fd, parser, [&](const shard::Frame &f) {
+                    if (f.type == shard::FrameType::ServeDone) {
+                        finished = true;
+                        decoded = decodeDone(f.payload, done);
+                    }
+                    return true;
+                });
+            if (st != shard::PumpStatus::Ok)
+                return false;
+        }
+        return decoded;
+    }
+
     std::unique_ptr<Server> server;
 };
 
@@ -244,8 +273,8 @@ TEST_F(ServeRobust, CancellingQueuedRequestsNeverRunsThem)
     options.jobs = 1;
     boot(options);
 
-    // Occupy the executor (raw socket, reply never drained) so the
-    // victim stays queued.
+    // Occupy the executor (raw socket, reply read only at the end) so
+    // the victim stays queued.
     const int blocker = io::connectUnix(server->socketPath());
     ASSERT_GE(blocker, 0);
     ASSERT_TRUE(shard::writeFrameToFd(
@@ -276,8 +305,16 @@ TEST_F(ServeRobust, CancellingQueuedRequestsNeverRunsThem)
               DoneStatus::Cancelled)
         << sweepErr;
 
-    // The blocker's sweep is undisturbed by its neighbour's death:
-    // wait for it to finish server-side, then prove serviceability.
+    // The blocker's sweep is undisturbed by its neighbour's death: its
+    // own stream ends in an Ok ServeDone with every cell. It is read to
+    // the end, not polled for, because under TSan the whole sweep
+    // outlasts waitFor's budget. Then the server is idle and
+    // serviceable.
+    DoneMsg blockerDone;
+    ASSERT_TRUE(readUntilDone(blocker, blockerDone));
+    EXPECT_EQ(static_cast<DoneStatus>(blockerDone.status), DoneStatus::Ok)
+        << blockerDone.error;
+    EXPECT_EQ(blockerDone.cells, kBenchmarks.size() * kPolicies.size());
     ASSERT_TRUE(waitFor([](const StatsReplyMsg &s) {
         return s.activeRequests == 0 && s.queueDepth == 0;
     }));

@@ -2,7 +2,8 @@
  * @file
  * End-to-end tests of the persistent sweep server: results served
  * over a real Unix-domain socket must be bit-identical to a direct
- * in-process runSweep()/run() at every jobs count, from concurrent
+ * in-process runSweep()/run() at every jobs count (a single run is a
+ * one-cell sweep), from concurrent
  * clients, and across warm repeats; invalid requests must produce
  * error replies without killing the daemon; Shutdown must drain.
  *
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +73,29 @@ SweepMsg testSweepRequest(int jobs)
         m.policies.push_back(static_cast<std::uint32_t>(pk));
     m.jobs = static_cast<std::uint32_t>(jobs);
     return m;
+}
+
+/** A single run: the one-cell sweep {benchmark} x {policy}. */
+SweepMsg runRequest(std::vector<std::uint8_t> setup,
+                    const std::string &benchmark, core::PolicyKind policy)
+{
+    SweepMsg m;
+    m.setup = std::move(setup);
+    m.benchmarks = {benchmark};
+    m.policies = {static_cast<std::uint32_t>(policy)};
+    return m;
+}
+
+/** Serve a one-cell request into `out`; false (with *err) on failure. */
+bool serveRun(Client &client, const SweepMsg &request,
+              sim::RunResult &out, std::string *err,
+              DoneMsg *done = nullptr)
+{
+    sim::SweepResult grid;
+    if (!client.sweep(request, grid, err, done))
+        return false;
+    out = std::move(grid.results[0][0]);
+    return true;
 }
 
 /** Byte-level equality via the bit-exact RunResult codec. */
@@ -175,16 +200,16 @@ TEST_F(ServeDeterminism, ConcurrentClientsBothGetIdenticalGrids)
 
 TEST_F(ServeDeterminism, ServedSingleRunMatchesDirect)
 {
-    RunMsg req;
-    req.setup = testSetup();
-    req.benchmark = "fft";
-    req.policy = static_cast<std::uint32_t>(core::PolicyKind::OracT);
+    const SweepMsg req =
+        runRequest(testSetup(), "fft", core::PolicyKind::OracT);
 
     Client client;
     std::string err;
     ASSERT_TRUE(client.connect(server->socketPath(), &err)) << err;
     sim::RunResult servedRun;
-    ASSERT_TRUE(client.run(req, servedRun, &err)) << err;
+    DoneMsg done;
+    ASSERT_TRUE(serveRun(client, req, servedRun, &err, &done)) << err;
+    EXPECT_EQ(done.cells, 1u);
 
     floorplan::Chip chip = floorplan::buildMiniChip(1);
     sim::Simulation simulation(chip, testConfig());
@@ -216,12 +241,12 @@ TEST_F(ServeDeterminism, NestedParamsMatchTheLocalRun)
     ASSERT_TRUE(client.sweep(sweep, grid, &err)) << err;
     expectBitIdentical(local, grid);
 
-    RunMsg run;
-    run.setup = sweep.setup;
-    run.benchmark = "fft";
-    run.policy = static_cast<std::uint32_t>(core::PolicyKind::OracT);
     sim::RunResult servedRun;
-    ASSERT_TRUE(client.run(run, servedRun, &err)) << err;
+    ASSERT_TRUE(serveRun(client,
+                         runRequest(sweep.setup, "fft",
+                                    core::PolicyKind::OracT),
+                         servedRun, &err))
+        << err;
     EXPECT_EQ(cache::encodeRunResult(servedRun),
               cache::encodeRunResult(
                   local.at("fft", core::PolicyKind::OracT)));
@@ -234,20 +259,21 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     ASSERT_TRUE(client.connect(server->socketPath(), &err)) << err;
 
     // Unknown benchmark.
-    RunMsg bad;
-    bad.setup = testSetup();
-    bad.benchmark = "no_such_benchmark";
-    bad.policy = 0;
     sim::RunResult out;
-    EXPECT_FALSE(client.run(bad, out, &err));
+    DoneMsg done;
+    EXPECT_FALSE(serveRun(client,
+                          runRequest(testSetup(), "no_such_benchmark",
+                                     core::PolicyKind::AllOn),
+                          out, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
     EXPECT_NE(err.find("no_such_benchmark"), std::string::npos);
 
     // Garbage setup blob.
-    RunMsg badSetup;
-    badSetup.setup = {1, 2, 3};
-    badSetup.benchmark = "fft";
-    badSetup.policy = 0;
-    EXPECT_FALSE(client.run(badSetup, out, &err));
+    EXPECT_FALSE(serveRun(client,
+                          runRequest({1, 2, 3}, "fft",
+                                     core::PolicyKind::AllOn),
+                          out, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
 
     // Cell index past the grid.
     SweepMsg badCells = testSweepRequest(1);
@@ -259,13 +285,10 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     // thermal model would assert on: refused with an Error reply.
     sim::SimConfig warmup = testConfig();
     warmup.noiseWarmupCycles = warmup.noiseCyclesTotal;
-    RunMsg badWarmup;
-    badWarmup.setup = testSetup(warmup);
-    badWarmup.benchmark = "fft";
-    badWarmup.policy =
-        static_cast<std::uint32_t>(core::PolicyKind::AllOn);
-    DoneMsg done;
-    EXPECT_FALSE(client.run(badWarmup, out, &err, &done));
+    EXPECT_FALSE(serveRun(client,
+                          runRequest(testSetup(warmup), "fft",
+                                     core::PolicyKind::AllOn),
+                          out, &err, &done));
     EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
     EXPECT_NE(err.find("noiseWarmupCycles"), std::string::npos) << err;
 
@@ -276,11 +299,45 @@ TEST_F(ServeDeterminism, InvalidRequestsGetErrorsNotACrash)
     EXPECT_FALSE(client.sweep(badGrid, sweepOut, &err, &done));
     EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
 
+    // Well-formed configs too large to allocate: refused by the size
+    // caps before the daemon sizes a buffer or a loop for them.
+    sim::SimConfig samples = testConfig();
+    samples.noiseSamples = std::numeric_limits<int>::max();
+    EXPECT_FALSE(serveRun(client,
+                          runRequest(testSetup(samples), "fft",
+                                     core::PolicyKind::AllOn),
+                          out, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+    EXPECT_NE(err.find("noiseSamples"), std::string::npos) << err;
+    EXPECT_TRUE(client.ping(&err)) << err;
+
+    sim::SimConfig wide = testConfig();
+    wide.thermalParams.gridW = 1 << 20;
+    SweepMsg wideGrid = testSweepRequest(1);
+    wideGrid.setup = testSetup(wide);
+    EXPECT_FALSE(client.sweep(wideGrid, sweepOut, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+    EXPECT_NE(err.find("thermalParams.gridW"), std::string::npos)
+        << err;
+
+    // The RecordOptions scalars are sized and indexed by too.
+    SweepMsg overSampled = testSweepRequest(1);
+    overSampled.noiseSamplesOverride = std::numeric_limits<int>::max();
+    EXPECT_FALSE(client.sweep(overSampled, sweepOut, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+    EXPECT_NE(err.find("noiseSamplesOverride"), std::string::npos)
+        << err;
+    SweepMsg badTrack = testSweepRequest(1);
+    badTrack.trackVr = 1 << 20;
+    EXPECT_FALSE(client.sweep(badTrack, sweepOut, &err, &done));
+    EXPECT_EQ(static_cast<DoneStatus>(done.status), DoneStatus::Error);
+    EXPECT_NE(err.find("trackVr"), std::string::npos) << err;
+
     // The daemon survived all of it and still serves correctly.
     EXPECT_TRUE(client.ping(&err)) << err;
     expectBitIdentical(reference(), served(1));
 
-    EXPECT_EQ(server->statsSnapshot().requestsRejected, 5u);
+    EXPECT_EQ(server->statsSnapshot().requestsRejected, 9u);
 }
 
 TEST_F(ServeDeterminism, SweepCellSubsetFillsOnlyThoseSlots)
